@@ -140,7 +140,10 @@ func (s Scope) Contains(kind Kind, inner Scope) bool {
 	}
 	switch kind {
 	case KindMemory:
-		return inner.Start >= s.Start && inner.Start+inner.Size <= s.Start+s.Size
+		// Compare offsets and sizes, never end addresses: Start+Size can
+		// wrap past 2^64 and make a huge inner range look contained.
+		return inner.Start >= s.Start && inner.Size <= s.Size &&
+			inner.Start-s.Start <= s.Size-inner.Size
 	case KindIPI:
 		return inner.Dest == s.Dest && inner.Vector == s.Vector
 	case KindIO:

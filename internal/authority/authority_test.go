@@ -204,3 +204,29 @@ func TestAliveZeroAlloc(t *testing.T) {
 		t.Fatalf("hot-path verification allocates: %v allocs/op", allocs)
 	}
 }
+
+// A memory range whose end wraps past 2^64 must not look contained: the
+// old end-address comparison accepted {0x620000, 2^64-2MiB} inside any
+// scope starting below 0x420000.
+func TestMemScopeContainsNoWrap(t *testing.T) {
+	outer := authority.MemScope(0x400000, 64<<20)
+	cases := []struct {
+		inner authority.Scope
+		want  bool
+	}{
+		{authority.MemScope(0x620000, 1<<64-2<<20), false},
+		{authority.MemScope(0x400000, 1<<64-1), false},
+		{authority.MemScope(1<<64-4096, 8192), false},
+		{authority.MemScope(0x400000, 64<<20), true},  // exactly the scope
+		{authority.MemScope(0x4400000, 0), true},      // empty, at the end
+		{authority.MemScope(0x43FF000, 0x1000), true}, // last page
+		{authority.MemScope(0x43FF000, 0x1001), false},
+		{authority.MemScope(0x3FF000, 0x2000), false}, // starts below
+	}
+	for _, c := range cases {
+		if got := outer.Contains(authority.KindMemory, c.inner); got != c.want {
+			t.Errorf("%s contains %s = %v, want %v", outer.String(authority.KindMemory),
+				c.inner.String(authority.KindMemory), got, c.want)
+		}
+	}
+}

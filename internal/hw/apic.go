@@ -161,15 +161,18 @@ func (a *APIC) clearKillPending() { a.pending.And(^pendingKill) }
 // setCrashPending mirrors the machine crash flag; it is never cleared.
 func (a *APIC) setCrashPending() { a.pending.Or(pendingCrash) }
 
-// WaitEvent blocks until an event may be pending or done is closed. It is
-// used by idle loops so halted CPUs still notice NMI doorbells.
+// WaitEvent blocks until an interrupt or NMI is pending, the CPU is killed,
+// the machine crashes, or done is closed. It is used by idle loops so halted
+// CPUs still notice NMI doorbells. A wakeup left behind by an event a poll
+// has already delivered is consumed and ignored: a wait loop must not poll
+// (and charge) once more or less depending on host scheduling.
 func (a *APIC) WaitEvent(done <-chan struct{}) {
-	if a.HasPending() {
-		return
-	}
-	select {
-	case <-a.notify:
-	case <-done:
+	for a.pending.Load()&(pendingEvents|pendingKill|pendingCrash) == 0 {
+		select {
+		case <-a.notify:
+		case <-done:
+			return
+		}
 	}
 }
 

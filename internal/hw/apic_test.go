@@ -2,6 +2,7 @@ package hw
 
 import (
 	"testing"
+	"time"
 )
 
 func TestAPICRaiseTake(t *testing.T) {
@@ -73,6 +74,33 @@ func TestAPICWaitEventReturnsOnDone(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	a.WaitEvent(done) // must not block
+}
+
+// An event delivered by a poll leaves its wakeup token behind. WaitEvent
+// must not end on that stale token: an idle wait loop would otherwise poll
+// (and charge) once more whenever the host happened not to consume it.
+func TestAPICWaitEventIgnoresStaleWakeup(t *testing.T) {
+	a := newAPIC(0)
+	a.Raise(0x41, false)
+	if v, _, ok := a.takeIntr(); !ok || v != 0x41 {
+		t.Fatalf("takeIntr = %#x, %v", v, ok)
+	}
+	returned := make(chan struct{})
+	go func() {
+		a.WaitEvent(nil)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("WaitEvent returned with nothing pending")
+	case <-time.After(50 * time.Millisecond):
+	}
+	a.RaiseNMI()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitEvent missed a fresh NMI")
+	}
 }
 
 func TestAPICHighestVectorFirst(t *testing.T) {

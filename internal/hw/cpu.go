@@ -110,6 +110,9 @@ type CPU struct {
 
 	irqHandler func(c *CPU, vector uint8, external bool)
 	nmiHandler func(c *CPU)
+	// inIRQ is set while irqHandler runs (execution-goroutine owned): the
+	// handler runs with maskable interrupts disabled, as with IF=0 on x86.
+	inIRQ bool
 
 	tscShadow atomic.Uint64 // published copy of TSC for cross-goroutine reads
 
@@ -226,7 +229,10 @@ func (c *CPU) poll() error {
 			c.nmiHandler(c)
 		}
 	}
-	for {
+	// Maskable vectors raised while a handler runs stay latched until it
+	// returns, when this loop in the outer poll delivers them; a handler
+	// never re-enters itself (it may hold locks it would take again).
+	for !c.inIRQ {
 		vector, external, ok := c.APIC.takeIntr()
 		if !ok {
 			break
@@ -243,8 +249,10 @@ func (c *CPU) poll() error {
 			// to IntrDeliver/GuestIRQ, not the interrupted code's budget,
 			// and any locks it takes are its own frame's, so hot-path and
 			// lock-ordering traversal stop at this dispatch.
+			c.inIRQ = true
 			//covirt:allow transitive-hot,lock-order interrupt-context boundary
 			c.irqHandler(c, vector, external)
+			c.inIRQ = false
 		}
 	}
 	if c.killed.Load() { // an event handler may have terminated us

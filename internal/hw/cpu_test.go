@@ -232,6 +232,48 @@ func TestInterruptPriority(t *testing.T) {
 	}
 }
 
+// An IRQ handler runs with maskable interrupts held off (IF=0): a vector
+// raised while it runs stays latched and is delivered after it returns,
+// never nested inside it. NMIs still preempt the handler.
+func TestIRQHandlerNotReentered(t *testing.T) {
+	m := testMachine(t)
+	c := m.CPU(0)
+	depth, maxDepth, nmis := 0, 0, 0
+	var order []uint8
+	c.SetNMIHandler(func(*CPU) {
+		if depth != 1 {
+			t.Errorf("NMI taken at handler depth %d, want 1 (inside the handler)", depth)
+		}
+		nmis++
+	})
+	c.SetIRQHandler(func(c *CPU, v uint8, _ bool) {
+		depth++
+		maxDepth = max(maxDepth, depth)
+		order = append(order, v)
+		if v == 0x40 {
+			c.APIC.Raise(0x41, false)
+			c.APIC.RaiseNMI()
+			if err := c.Compute(1); err != nil { // a poll inside the handler
+				t.Error(err)
+			}
+		}
+		depth--
+	})
+	c.APIC.Raise(0x40, false)
+	if err := c.Compute(1); err != nil {
+		t.Fatal(err)
+	}
+	if maxDepth != 1 {
+		t.Errorf("handler nested to depth %d", maxDepth)
+	}
+	if len(order) != 2 || order[0] != 0x40 || order[1] != 0x41 {
+		t.Errorf("delivery order = %#x, want [0x40 0x41]", order)
+	}
+	if nmis != 1 {
+		t.Errorf("nmis = %d, want 1", nmis)
+	}
+}
+
 func TestNMIHandling(t *testing.T) {
 	m := testMachine(t)
 	c := m.CPU(0)

@@ -342,15 +342,19 @@ func (k *Kernel) coreLoop(cc *coreCtx) {
 // runTask executes one task on the core, converting guest panics raised by
 // Env helpers into task errors.
 func (k *Kernel) runTask(cc *coreCtx, t *Task) {
-	// Don't start until the spawner has raised the doorbell IPI: by the
-	// time fn runs, the doorbell is either already serviced (the idle loop
-	// polled it) or pending for the task's first poll, so its cost is
-	// charged at the same point in the cycle stream on every run.
+	// Don't start until the spawner has raised the doorbell IPI, then
+	// service it: the idle loop may already have taken it, or it may still
+	// be pending, and either way its cost lands before fn's first cycle
+	// instead of inside whichever guest operation polls first.
 	<-t.released
 	cc.busy.Store(true)
 	defer cc.busy.Store(false)
 	env := &Env{K: k, CPU: cc.cpu, Core: cc.local, Task: t}
 	defer close(t.done)
+	if err := cc.cpu.Compute(0); err != nil {
+		t.err = err
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if ge, ok := r.(guestError); ok {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"covirt/internal/hw"
 	"covirt/internal/linuxhost"
@@ -15,6 +16,15 @@ import (
 // testStack boots a host + Pisces (no Covirt) stack with one Kitten
 // enclave for kernel-level tests.
 func testStack(t *testing.T, cores int, nodes []int, mem uint64) (*linuxhost.Host, *pisces.Framework, *pisces.Enclave, *Kernel) {
+	t.Helper()
+	host, fw, enc, k := bootStack(t, cores, nodes, mem)
+	t.Cleanup(func() { _ = fw.Destroy(enc) })
+	return host, fw, enc, k
+}
+
+// bootStack is testStack without the teardown: the caller destroys the
+// enclave (or deliberately leaks a wedged one).
+func bootStack(t *testing.T, cores int, nodes []int, mem uint64) (*linuxhost.Host, *pisces.Framework, *pisces.Enclave, *Kernel) {
 	t.Helper()
 	spec := hw.DefaultSpec()
 	spec.MemPerNode = 2 << 30
@@ -43,7 +53,6 @@ func testStack(t *testing.T, cores int, nodes []int, mem uint64) (*linuxhost.Hos
 	if err := fw.Boot(enc, k); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = fw.Destroy(enc) })
 	return host, fw, enc, k
 }
 
@@ -444,5 +453,43 @@ func TestHashNameStable(t *testing.T) {
 	}
 	if hashName("") == 0 {
 		t.Error("empty hash is zero")
+	}
+}
+
+// A control doorbell that arrives while drainCtl runs used to be delivered
+// as a nested interrupt at the poll inside the drain's ring read, which
+// holds the ring lock; the nested drainCtl then blocked on that lock
+// forever, and so did the host's next command. The doorbell must instead
+// stay latched until the running drain returns.
+func TestCtlDoorbellDuringDrain(t *testing.T) {
+	// No teardown on failure: a deadlocked core never quiesces, and
+	// Destroy would wait for it forever.
+	_, fw, enc, k := bootStack(t, 1, []int{0}, 64<<20)
+	const vec = 0x72
+	var drains atomic.Int32
+	k.OnIPI(vec, func(e *Env) {
+		// The doorbell lands just as this drain starts.
+		e.CPU.APIC.Raise(pisces.VectorCtl, false)
+		k.drainCtl(e.CPU)
+		drains.Add(1)
+	})
+	done := make(chan error, 1)
+	go func() {
+		fw.Machine.RouteIPI(-1, enc.Cores[0], vec)
+		done <- fw.Ping(enc)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ping after the nested doorbell: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("control drain deadlocked on a doorbell raised during a drain")
+	}
+	if drains.Load() != 1 {
+		t.Errorf("drains in the IPI handler = %d, want 1", drains.Load())
+	}
+	if err := fw.Destroy(enc); err != nil {
+		t.Error(err)
 	}
 }

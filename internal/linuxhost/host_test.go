@@ -1,10 +1,12 @@
 package linuxhost
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"covirt/internal/authority"
 	"covirt/internal/hw"
 	"covirt/internal/kitten"
 	"covirt/internal/pisces"
@@ -369,5 +371,74 @@ func TestEnclaveDestroyReclaims(t *testing.T) {
 	}
 	if enc.State() != pisces.StateStopped {
 		t.Errorf("state = %v", enc.State())
+	}
+}
+
+// A guest export whose range wraps past 2^64 used to pass both the
+// longcall's ownership check (start+size-1 wrapped back into owned memory)
+// and the memory capability's scope check, and a second enclave could then
+// attach a 2^64-byte segment. It must be a contained rejection: the
+// exporter gets an error and stays up, and the grant tables, the segment
+// registry and the resource ledger are unchanged.
+func TestXememMakeWrappingRangeRejected(t *testing.T) {
+	h := newTestHost(t)
+	_, kA := bootEnclave(t, h, "producer", 1, []int{0}, 128<<20)
+	_, kB := bootEnclave(t, h, "consumer", 1, []int{1}, 128<<20)
+	grants := func() map[int][]authority.Info {
+		out := map[int][]authority.Info{}
+		for _, id := range h.Master.Auth.Holders() {
+			out[id] = h.Master.Auth.CapsOf(id)
+		}
+		return out
+	}
+	var seg hw.Extent
+	tAlloc, _ := kA.Spawn("alloc", 0, func(e *kitten.Env) error {
+		seg = e.Alloc(0, 4<<20)
+		return nil
+	})
+	if err := tAlloc.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	grantsBefore, segsBefore := grants(), h.Master.Reg.Count()
+	free0, free1 := h.EnclaveLedger.FreeBytes(0), h.EnclaveLedger.FreeBytes(1)
+
+	// The reproduction: start+size-1 wraps to seg.Start+4K-1, inside seg.
+	wrap := hw.Extent{Start: seg.Start + 2<<20 + hw.PageSize4K, Size: 1<<64 - 2<<20}
+	tA, _ := kA.Spawn("export", 0, func(e *kitten.Env) error {
+		if _, err := e.XemMake("wrap.seg", wrap); err == nil {
+			t.Error("export of a range wrapping past 2^64 accepted")
+		}
+		return nil
+	})
+	if err := tA.Wait(); err != nil {
+		t.Fatalf("exporter not contained: %v", err)
+	}
+	tB, _ := kB.Spawn("attach", 0, func(e *kitten.Env) error {
+		if segid, err := e.XemGet("wrap.seg"); err == nil {
+			_, err := e.XemAttach(segid)
+			t.Errorf("second enclave found the wrapping segment %d (attach err %v)", segid, err)
+		}
+		return nil
+	})
+	if err := tB.Wait(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := grants(); !reflect.DeepEqual(got, grantsBefore) {
+		t.Errorf("grant tables changed:\nbefore %v\nafter  %v", grantsBefore, got)
+	}
+	if got := h.Master.Reg.Count(); got != segsBefore {
+		t.Errorf("segments = %d, want %d", got, segsBefore)
+	}
+	if f0, f1 := h.EnclaveLedger.FreeBytes(0), h.EnclaveLedger.FreeBytes(1); f0 != free0 || f1 != free1 {
+		t.Errorf("ledger free bytes = %d/%d, want %d/%d", f0, f1, free0, free1)
+	}
+	// The exporter is still up and can export memory it does own.
+	tOK, _ := kA.Spawn("export-ok", 0, func(e *kitten.Env) error {
+		_, err := e.XemMake("ok.seg", seg)
+		return err
+	})
+	if err := tOK.Wait(); err != nil {
+		t.Errorf("valid export after the rejection: %v", err)
 	}
 }

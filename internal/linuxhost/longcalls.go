@@ -70,7 +70,8 @@ func (h *Host) registerDefaultLongcalls() {
 		nameHash := get64(m.Payload[:], 0)
 		start := get64(m.Payload[:], 8)
 		size := get64(m.Payload[:], 16)
-		if size == 0 || !enc.OwnsAddr(start) || !enc.OwnsAddr(start+size-1) {
+		last := start + size - 1
+		if size == 0 || last < start || !enc.OwnsAddr(start) || !enc.OwnsAddr(last) {
 			setResp(resp, pisces.LcErrInval, 0, 0)
 			return 100
 		}

@@ -449,11 +449,14 @@ func (s *Supervisor) quarantine(w *watch, now uint64) error {
 	return nil
 }
 
-// setQuarantined marks w terminal under the lock.
+// setQuarantined marks w terminal under the lock. A crash latched while
+// the quarantine waited for reclaim is the one being quarantined (the scan
+// and the bus both report it), so it leaves no failure outstanding.
 func (s *Supervisor) setQuarantined(w *watch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.state = Quarantined
+	w.failed = false
 }
 
 // Settle scans until a pass finds every watch either healthy with no

@@ -373,3 +373,34 @@ func TestJitterIsDeterministicPerSeed(t *testing.T) {
 		t.Errorf("restartAt %d outside jitter bounds [%d, %d]", a, 2*base, 2*base+base/2)
 	}
 }
+
+// A zero-budget crash is reported twice: by the scan that finds the
+// enclave terminal and by the bus event ReportCrash emits. When the bus
+// latch lands while the scan is still quarantining the watch (waiting for
+// reclaim), it must not leave a failure outstanding that no later scan
+// handles, or Settle never returns settled.
+func TestCrashLatchedDuringQuarantineSettles(t *testing.T) {
+	tb := buildKitten(t, testbed.Guest{Name: "victim"})
+	sup := New(tb, Options{})
+	be := tb.Encs[0]
+	if err := sup.Watch(be, Policy{MaxRestarts: 0}); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, tb)
+	sup.hungWatches() // latches the terminal state, like a scan's first pass
+	now := sup.Clock.Advance(sup.ScanInterval())
+	quarantines := sup.scheduleFailures(now)
+	if len(quarantines) != 1 {
+		t.Fatalf("quarantines = %d, want 1", len(quarantines))
+	}
+	sup.latchCrash(be.Enc.ID, "bus report of the same crash")
+	if err := sup.quarantine(quarantines[0], now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sup.Settle(4); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := sup.Status("victim"); st.State != Quarantined || st.Failures != 1 {
+		t.Errorf("status %+v, want quarantined after one failure", st)
+	}
+}

@@ -1,6 +1,10 @@
 package vmx
 
-import "testing"
+import (
+	"testing"
+
+	"covirt/internal/hw"
+)
 
 // benchEPT builds an EPT with 512 MiB of 2M-coalesced leaves at a fixed
 // base — enough distinct leaves that walk benchmarks rotate through the
@@ -58,4 +62,19 @@ func BenchmarkEPTWalkParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkEPTMapRange4KOnly measures building a 4K-capped EPT for 64 MiB
+// (16384 leaves) — the set-up cost of the large-page-coalescing ablation,
+// where every guest page is its own leaf.
+func BenchmarkEPTMapRange4KOnly(b *testing.B) {
+	const size = 64 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ept := NewEPT()
+		ept.SetMaxPageSize(hw.PageSize4K)
+		if err := ept.MapRange(1<<30, size, PermAll); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -74,10 +74,10 @@ func (s EPTStats) Pages() uint64 { return s.Mapped4K + s.Mapped2M + s.Mapped1G }
 // reflect a fully applied layout once Gen() returns g. TLB shootdown is the
 // hypervisor's job (see covirt's command queue).
 type EPT struct {
-	mu      sync.Mutex
-	root    *eptNode
-	stats   EPTStats
-	gen     atomic.Uint64
+	mu    sync.Mutex
+	root  *eptNode
+	stats EPTStats
+	gen   atomic.Uint64
 	// maxPage caps leaf mapping sizes (0 = coalesce freely up to 1G);
 	// used by the large-page ablation.
 	maxPage uint64
@@ -115,15 +115,45 @@ func idx(gpa uint64, level int) int {
 	return int((gpa >> levelShift(level)) & eptIdxMask)
 }
 
+// leafEntries holds the one immutable leaf entry per permission set. Leaf
+// entries carry no per-page state, so every leaf slot with the same
+// permissions points at the same entry: mapping allocates only table nodes.
+var leafEntries = func() (t [PermAll + 1]eptEntry) {
+	for p := range t {
+		t[p] = eptEntry{leaf: true, perms: Perms(p)}
+	}
+	return t
+}()
+
+// leafEntry returns the shared leaf entry for perms (which must lie within
+// PermAll).
+func leafEntry(p Perms) *eptEntry { return &leafEntries[p] }
+
+// checkRange validates a map/unmap range: 4K-aligned, and not wrapping past
+// the top of the address space.
+func checkRange(op string, gpa, size uint64) error {
+	if gpa%hw.PageSize4K != 0 || size%hw.PageSize4K != 0 {
+		return fmt.Errorf("vmx: unaligned %s [%#x,+%#x)", op, gpa, size)
+	}
+	if size != 0 && gpa+size <= gpa {
+		return fmt.Errorf("vmx: %s [%#x,+%#x) wraps the address space", op, gpa, size)
+	}
+	return nil
+}
+
 // MapRange identity-maps [gpa, gpa+size) with the given permissions,
 // coalescing into 2M and 1G leaf mappings wherever alignment and length
 // allow — the optimization the paper calls out ("contiguous memory pages
 // are coalesced into large (2MB) and giant (1GB) EPT page mappings").
-// gpa and size must be 4K-aligned. Mapping over an existing mapping is an
-// error (the controller tracks ownership; double-maps indicate a bug).
+// gpa and size must be 4K-aligned, the range must not wrap, and perms must
+// lie within PermAll. Mapping over an existing mapping is an error (the
+// controller tracks ownership; double-maps indicate a bug).
 func (e *EPT) MapRange(gpa, size uint64, perms Perms) error {
-	if gpa%hw.PageSize4K != 0 || size%hw.PageSize4K != 0 {
-		return fmt.Errorf("vmx: unaligned map [%#x,+%#x)", gpa, size)
+	if err := checkRange("map", gpa, size); err != nil {
+		return err
+	}
+	if perms&^PermAll != 0 {
+		return fmt.Errorf("vmx: map [%#x,+%#x) with invalid perms %#x", gpa, size, perms)
 	}
 	if size == 0 {
 		return nil
@@ -132,14 +162,11 @@ func (e *EPT) MapRange(gpa, size uint64, perms Perms) error {
 	defer e.mu.Unlock()
 	end := gpa + size
 	for cur := gpa; cur < end; {
-		ps := bestPageSize(cur, end-cur)
-		if e.maxPage > 0 && ps > e.maxPage {
-			ps = e.maxPage
-		}
-		if err := e.mapOne(cur, ps, perms); err != nil {
+		next, err := e.mapRun(cur, end, perms)
+		if err != nil {
 			return err
 		}
-		cur += ps
+		cur = next
 	}
 	e.gen.Add(1)
 	return nil
@@ -157,8 +184,19 @@ func bestPageSize(cur, remaining uint64) uint64 {
 	return hw.PageSize4K
 }
 
-// mapOne installs a single leaf of the given page size. Caller holds e.mu.
-func (e *EPT) mapOne(gpa, pageSize uint64, perms Perms) error {
+// mapRun installs a run of same-size leaves starting at cur: it walks to
+// the leaf-level table once, then fills consecutive slots until the range
+// or the table ends. The page size cannot change earlier: the next size
+// up needs an alignment that only a table boundary provides, so within one
+// table the size only drops once less than a page remains. It returns
+// where the run stopped. Table nodes are created empty and linked before
+// their slots fill, so walkers only ever see absent or complete leaves.
+// Caller holds e.mu.
+func (e *EPT) mapRun(cur, end uint64, perms Perms) (uint64, error) {
+	pageSize := bestPageSize(cur, end-cur)
+	if e.maxPage > 0 && pageSize > e.maxPage {
+		pageSize = e.maxPage
+	}
 	leafLevel := 0
 	switch pageSize {
 	case hw.PageSize1G:
@@ -168,10 +206,10 @@ func (e *EPT) mapOne(gpa, pageSize uint64, perms Perms) error {
 	}
 	n := e.root
 	for level := eptMaxLevel; level > leafLevel; level-- {
-		slot := &n.entries[idx(gpa, level)]
+		slot := &n.entries[idx(cur, level)]
 		ent := slot.Load()
 		if ent != nil && ent.leaf {
-			return fmt.Errorf("vmx: map %#x/%d overlaps existing %d-byte leaf", gpa, pageSize, levelPageSize(level))
+			return cur, fmt.Errorf("vmx: map %#x/%d overlaps existing %d-byte leaf", cur, pageSize, levelPageSize(level))
 		}
 		if ent == nil {
 			ent = &eptEntry{next: &eptNode{}}
@@ -179,30 +217,28 @@ func (e *EPT) mapOne(gpa, pageSize uint64, perms Perms) error {
 		}
 		n = ent.next
 	}
-	slot := &n.entries[idx(gpa, leafLevel)]
-	if slot.Load() != nil {
-		return fmt.Errorf("vmx: map %#x/%d overlaps existing mapping", gpa, pageSize)
+	leaf := leafEntry(perms)
+	slots := n.entries[idx(cur, leafLevel):]
+	run := min(uint64(len(slots)), (end-cur)/pageSize)
+	for i := range run {
+		if slots[i].Load() != nil {
+			e.accountMap(pageSize, i)
+			return cur + i*pageSize, fmt.Errorf("vmx: map %#x/%d overlaps existing mapping", cur+i*pageSize, pageSize)
+		}
+		slots[i].Store(leaf)
 	}
-	slot.Store(&eptEntry{leaf: true, perms: perms})
-	switch pageSize {
-	case hw.PageSize1G:
-		e.stats.Mapped1G++
-	case hw.PageSize2M:
-		e.stats.Mapped2M++
-	default:
-		e.stats.Mapped4K++
-	}
-	e.stats.Bytes += pageSize
-	return nil
+	e.accountMap(pageSize, run)
+	return cur + run*pageSize, nil
 }
 
 // UnmapRange removes all mappings overlapping [gpa, gpa+size), splitting
 // large leaves when the range covers them only partially. gpa and size must
-// be 4K-aligned. Unmapping never-mapped space is a no-op, mirroring INVEPT
-// semantics (the controller may conservatively unmap supersets).
+// be 4K-aligned and the range must not wrap. Unmapping never-mapped space
+// is a no-op, mirroring INVEPT semantics (the controller may conservatively
+// unmap supersets).
 func (e *EPT) UnmapRange(gpa, size uint64) error {
-	if gpa%hw.PageSize4K != 0 || size%hw.PageSize4K != 0 {
-		return fmt.Errorf("vmx: unaligned unmap [%#x,+%#x)", gpa, size)
+	if err := checkRange("unmap", gpa, size); err != nil {
+		return err
 	}
 	if size == 0 {
 		return nil
@@ -248,36 +284,34 @@ func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 }
 
 // splitLeaf replaces a large leaf with a table of next-size-down leaves,
-// preserving permissions. The child is fully built — all 512 slots share
-// one immutable leaf entry — before being published, so concurrent walkers
-// see either the old large leaf or the complete split, never a partial
-// table. Caller holds e.mu.
+// preserving permissions. The child is fully built — all 512 slots point
+// at the shared leaf entry for those permissions — before being published,
+// so concurrent walkers see either the old large leaf or the complete
+// split, never a partial table. Caller holds e.mu.
 func (e *EPT) splitLeaf(slot *atomic.Pointer[eptEntry], old *eptEntry, level int) *eptNode {
 	child := &eptNode{}
-	childSpan := levelPageSize(level - 1)
-	shared := &eptEntry{leaf: true, perms: old.perms}
+	shared := leafEntry(old.perms)
 	for i := range child.entries {
 		child.entries[i].Store(shared)
 	}
 	// Accounting: one large page becomes 512 smaller ones.
 	e.accountUnmap(levelPageSize(level))
-	for i := 0; i < 1<<eptIdxBits; i++ {
-		e.accountMap(childSpan)
-	}
+	e.accountMap(levelPageSize(level-1), 1<<eptIdxBits)
 	slot.Store(&eptEntry{next: child})
 	return child
 }
 
-func (e *EPT) accountMap(span uint64) {
+// accountMap records n new leaves of the given span. Caller holds e.mu.
+func (e *EPT) accountMap(span, n uint64) {
 	switch span {
 	case hw.PageSize1G:
-		e.stats.Mapped1G++
+		e.stats.Mapped1G += n
 	case hw.PageSize2M:
-		e.stats.Mapped2M++
+		e.stats.Mapped2M += n
 	default:
-		e.stats.Mapped4K++
+		e.stats.Mapped4K += n
 	}
-	e.stats.Bytes += span
+	e.stats.Bytes += n * span
 }
 
 func (e *EPT) accountUnmap(span uint64) {

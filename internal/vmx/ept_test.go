@@ -285,3 +285,118 @@ func TestBestPageSize(t *testing.T) {
 		}
 	}
 }
+
+// A range that wraps past the top of the address space used to compute a
+// tiny end, map or unmap nothing and still bump the generation.
+func TestEPTWrappingRangeRejected(t *testing.T) {
+	e := NewEPT()
+	if err := e.MapRange(0x620000, hw.PageSize2M, PermAll); err != nil {
+		t.Fatal(err)
+	}
+	g0, s0 := e.Gen(), e.Stats()
+	wraps := []struct{ gpa, size uint64 }{
+		{0x620000, 1<<64 - hw.PageSize2M},      // ends past 2^64
+		{1<<64 - hw.PageSize4K, hw.PageSize4K}, // ends exactly at 2^64
+		{hw.PageSize1G, 1<<64 - hw.PageSize4K},
+	}
+	for _, w := range wraps {
+		if err := e.MapRange(w.gpa, w.size, PermAll); err == nil {
+			t.Errorf("MapRange(%#x, %#x) accepted a wrapping range", w.gpa, w.size)
+		}
+		if err := e.UnmapRange(w.gpa, w.size); err == nil {
+			t.Errorf("UnmapRange(%#x, %#x) accepted a wrapping range", w.gpa, w.size)
+		}
+	}
+	if e.Gen() != g0 || e.Stats() != s0 {
+		t.Errorf("rejected ranges changed the EPT: gen %d->%d, stats %+v->%+v", g0, e.Gen(), s0, e.Stats())
+	}
+	if _, err := e.Walk(0x620000, true); err != nil {
+		t.Errorf("existing mapping lost: %v", err)
+	}
+}
+
+func TestEPTInvalidPermsRejected(t *testing.T) {
+	e := NewEPT()
+	for _, p := range []Perms{PermAll + 1, 1 << 7, 0xFF} {
+		if err := e.MapRange(0, hw.PageSize4K, p); err == nil {
+			t.Errorf("perms %#x accepted", p)
+		}
+	}
+	if e.Gen() != 0 || e.Stats() != (EPTStats{}) {
+		t.Errorf("rejected perms changed the EPT: gen %d, stats %+v", e.Gen(), e.Stats())
+	}
+	// Every permission set within PermAll, including none, is valid.
+	for p := Perms(0); p <= PermAll; p++ {
+		if err := e.MapRange(uint64(p)*hw.PageSize4K, hw.PageSize4K, p); err != nil {
+			t.Errorf("perms %#x: %v", p, err)
+		}
+	}
+}
+
+// A failed map keeps the leaves installed before the overlap (the
+// controller treats any error as a bug) but does not bump the generation.
+func TestEPTOverlapStopsMidRun(t *testing.T) {
+	e := NewEPT()
+	e.SetMaxPageSize(hw.PageSize4K)
+	if err := e.MapRange(0x5000, hw.PageSize4K, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	g0 := e.Gen()
+	if err := e.MapRange(0x1000, 0x8000, PermAll); err == nil {
+		t.Fatal("overlapping run accepted")
+	}
+	if e.Gen() != g0 {
+		t.Error("failed map bumped the generation")
+	}
+	if got := e.Stats(); got.Mapped4K != 5 || got.Bytes != 5*hw.PageSize4K {
+		t.Errorf("stats = %+v, want the 4 pages before the overlap plus the original", got)
+	}
+	if res, err := e.Walk(0x5000, false); err != nil || res.Perms != PermRead {
+		t.Errorf("overlapped leaf = %+v, %v; want the original read-only leaf", res, err)
+	}
+	if e.Mapped(0x6000) {
+		t.Error("page after the overlap mapped")
+	}
+}
+
+// tableCount counts the table nodes below n, n included.
+func tableCount(n *eptNode) int {
+	c := 1
+	for i := range n.entries {
+		if ent := n.entries[i].Load(); ent != nil && !ent.leaf {
+			c += tableCount(ent.next)
+		}
+	}
+	return c
+}
+
+// Mapping allocates table nodes only: leaves share one immutable entry per
+// permission set, so a 4K-only build costs two objects (entry + node) per
+// table it creates and nothing per leaf.
+func TestEPTMapRangeAllocsPerTable(t *testing.T) {
+	const size = 64 << 20
+	e := NewEPT()
+	e.SetMaxPageSize(hw.PageSize4K)
+	base := uint64(hw.PageSize1G)
+	if err := e.MapRange(base, size, PermAll); err != nil {
+		t.Fatal(err)
+	}
+	created := tableCount(e.root) - 1 // the root exists before the map
+	if leaves := e.Stats().Mapped4K; leaves != size/hw.PageSize4K {
+		t.Fatalf("4K leaves = %d, want %d", leaves, size/hw.PageSize4K)
+	}
+	if err := e.UnmapRange(base, size); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := e.MapRange(base, size, PermAll); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.UnmapRange(base, size); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2 * created); allocs > limit {
+		t.Errorf("map of %d 4K leaves in %d tables: %.0f allocs, want <= %.0f", size/hw.PageSize4K, created, allocs, limit)
+	}
+}

@@ -2,7 +2,7 @@
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
 #   ./scripts/check.sh                # full gate (static + smoke + race)
-#   ./scripts/check.sh static        # build/vet/analyzers + -short smoke only
+#   ./scripts/check.sh static        # build/vet/analyzers + -short smoke + EPT fuzz
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -103,6 +103,13 @@ end
 
 begin "go test -short ./... (smoke tier)"
 go test -short ./...
+end
+
+# A short fuzz of the EPT against its per-page reference model: random
+# map/unmap sequences, large-leaf splits and page-size caps. The seed
+# corpus under internal/vmx/testdata also runs in every plain go test.
+begin "go test -fuzz FuzzEPTMapUnmap (10s)"
+go test -run '^$' -fuzz FuzzEPTMapUnmap -fuzztime 10s ./internal/vmx
 end
 
 if [ "$mode" = static ]; then
