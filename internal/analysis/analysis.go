@@ -12,7 +12,9 @@
 //   - lock-discipline: every mutex acquisition pairs with a deferred
 //     release in the same function, and sync.Cond.Wait sits in a for loop.
 //   - determinism: simulation packages must not consult wall-clock time or
-//     the global math/rand source; cycle accounting must be reproducible.
+//     the global math/rand source, and must not declare package-level
+//     sync/atomic variables (process-global switches); cycle accounting
+//     must be reproducible.
 //   - cost-accounting: every exported field of the hw.Costs cycle model is
 //     charged by some simulation code — dead entries drift from the paper.
 //   - queue-protocol: the controller↔hypervisor command-queue shared-memory
@@ -348,10 +350,11 @@ var simPackages = []string{
 	"internal/kitten",
 	"internal/xemem",
 	"internal/cluster",
+	"internal/workloads",
 }
 
 // isSimPackage reports whether the unit belongs to the simulation core
-// (harness, CLI, trace and workload-driver packages are exempt).
+// (harness, CLI and trace packages are exempt).
 func isSimPackage(path string) bool {
 	path = strings.TrimSuffix(path, ".test")
 	for _, s := range simPackages {

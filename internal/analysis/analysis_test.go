@@ -13,8 +13,9 @@ import (
 // TestAnalyzersOnFixtures runs each analyzer against its fixture module
 // under testdata/ and compares the full finding set (as module-relative
 // file:line keys) against expectations. The fixtures also exercise the
-// //covirt:allow directive (see physmem/use/use.go) and the seeded-source
-// exemption (determinism/internal/hw/clock.go).
+// //covirt:allow directive (see physmem/use/use.go), the seeded-source
+// exemption (determinism/internal/hw/clock.go) and the package-level
+// atomic rule (determinism/internal/covirt/toggle.go).
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -49,6 +50,12 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				"internal/hw/clock.go:13", // global rand.Intn
 				// the seeded rand.New(rand.NewSource(...)) use is exempt,
 				// and harness/ is not a sim package
+				"internal/covirt/toggle.go:6",  // package-level atomic.Bool
+				"internal/covirt/toggle.go:9",  // atomic.Value in a var block
+				"internal/covirt/toggle.go:10", // array of atomics
+				"internal/covirt/toggle.go:12", // pointer to an atomic
+				// fields, function locals, _test.go files and the harness
+				// package's atomic are exempt
 			},
 		},
 		{

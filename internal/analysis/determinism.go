@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -12,9 +13,14 @@ import (
 // packages (and _test.go files, which may set real-time deadlines) are
 // exempt; seeded sources (hw.Rand, rand.New(rand.NewSource(seed))) are
 // always fine.
+//
+// It also forbids package-level sync/atomic variables there: a
+// process-global switch changes behaviour for every node in the process
+// (and every test in the binary) at once, bypassing the per-enclave
+// configuration in covirt.Features.
 var determinism = &Analyzer{
 	Name: checkDeterminism,
-	Doc:  "simulation packages must not use wall-clock time or the global math/rand source",
+	Doc:  "simulation packages must not use wall-clock time, the global math/rand source or package-level sync/atomic variables",
 	Run:  runDeterminism,
 }
 
@@ -49,6 +55,7 @@ func runDeterminism(p *Pass) []Finding {
 		if isTestFile(p.Mod, file) {
 			continue
 		}
+		reportAtomicGlobals(p, file, &out)
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -72,4 +79,42 @@ func runDeterminism(p *Pass) []Finding {
 		})
 	}
 	return out
+}
+
+// reportAtomicGlobals flags file-level var declarations whose type is (or
+// is a pointer to, or an array of) a sync/atomic type.
+func reportAtomicGlobals(p *Pass, file *ast.File, out *[]Finding) {
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, name := range spec.(*ast.ValueSpec).Names {
+				obj := p.Unit.Info.Defs[name]
+				if obj == nil || !isAtomicType(obj.Type()) {
+					continue
+				}
+				p.report(out, checkDeterminism, name,
+					"package-level sync/atomic variable %s in simulation package %s is a process-global switch; configure per enclave (covirt.Features) instead",
+					name.Name, p.Unit.Path)
+			}
+		}
+	}
+}
+
+func isAtomicType(t types.Type) bool {
+	for {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Named:
+			obj := u.Obj()
+			return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+		default:
+			return false
+		}
+	}
 }

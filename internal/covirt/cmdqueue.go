@@ -307,16 +307,18 @@ func flushRangeLeaves(start, size uint64) uint64 {
 // handler body). Each pass snapshots the whole ring under one critical
 // section, applies every record, then retires them with one tail advance,
 // one completion publish, and one broadcast — the NMI does not
-// lock-roundtrip per record. It returns cycles spent.
-func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
+// lock-roundtrip per record. It returns cycles spent, and an error when
+// the ring indices are corrupt (the caller terminates the enclave).
+func (q *cmdQueue) drain(cpu *hw.CPU) (uint64, error) {
 	cs := cpu.Costs()
 	var spent uint64
 	for {
-		recs, tail, ok := q.fetchAll()
-		if !ok || len(recs) == 0 {
-			// Empty queue, or the backing region vanished mid-teardown
-			// (waiters are then released by teardown's wake).
-			return spent
+		recs, tail, err := q.fetchAll()
+		if err != nil || len(recs) == 0 {
+			// Corrupt indices, an empty queue, or the backing region
+			// vanished mid-teardown (waiters are then released by
+			// teardown's wake).
+			return spent, err
 		}
 		var lastSeq, epoch uint64
 		for _, rec := range recs {
@@ -342,7 +344,7 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 			lastSeq = rec[3]
 		}
 		if err := q.publishCompletion(tail, uint64(len(recs)), lastSeq, epoch); err != nil {
-			return spent
+			return spent, nil
 		}
 	}
 }
@@ -351,35 +353,40 @@ func (q *cmdQueue) drain(cpu *hw.CPU) uint64 {
 // one critical section. The locked read is the simulation's stand-in for
 // the hardware's acquire-ordered head load: the controller publishes slot
 // contents before advancing the head pointer inside pushBatch's critical
-// section.
-func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, bool) {
+// section. The header sits in guest-mapped memory, so a guest can forge
+// head or tail: an occupancy past the ring capacity — computed unsigned,
+// which also catches tail > head — is reported as corruption. A read
+// failure (the region vanished mid-teardown) yields an empty snapshot.
+func (q *cmdQueue) fetchAll() ([][4]uint64, uint64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	head, err := q.mem.Read64(q.base + cmdqOffHead)
 	if err != nil {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	tail, err := q.mem.Read64(q.base + cmdqOffTail)
-	if err != nil || tail >= head {
-		return nil, 0, false
+	if err != nil {
+		return nil, 0, nil
 	}
-	// The ring holds at most q.slots records, and scratch was sized to
-	// exactly that in newCmdQueue, so the snapshot is written in place —
-	// the NMI-path drain never allocates.
 	n := head - tail
+	if n > q.slots {
+		return nil, 0, fmt.Errorf("head %d, tail %d: %d records exceed the %d-slot ring", head, tail, n, q.slots)
+	}
+	// scratch was sized to q.slots in newCmdQueue, so the snapshot is
+	// written in place — the NMI-path drain never allocates.
 	for k := uint64(0); k < n; k++ {
 		slot := q.base + cmdqHdrSize + ((tail+k)&q.mask)*cmdqSlotSize
 		var rec [4]uint64
 		for i := range rec {
 			v, err := q.mem.Read64(slot + uint64(i)*8)
 			if err != nil {
-				return nil, 0, false
+				return nil, 0, nil
 			}
 			rec[i] = v
 		}
 		q.scratch[k] = rec
 	}
-	return q.scratch[:n], tail, true
+	return q.scratch[:n], tail, nil
 }
 
 // publishCompletion retires n drained records in one critical section: the

@@ -43,9 +43,9 @@ func TestCmdQueuePushDrain(t *testing.T) {
 	}
 	// Warm a TLB entry in the to-be-flushed range.
 	cpu.TLB.Insert(0x1800, hw.PageSize4K)
-	spent := q.drain(cpu)
-	if spent == 0 {
-		t.Error("drain charged nothing")
+	spent, err := q.drain(cpu)
+	if err != nil || spent == 0 {
+		t.Errorf("drain = %d, %v; want charged cycles, no error", spent, err)
 	}
 	if q.completed() != seq2 {
 		t.Errorf("completed = %d, want %d", q.completed(), seq2)
@@ -54,7 +54,7 @@ func TestCmdQueuePushDrain(t *testing.T) {
 		t.Error("flush command did not flush")
 	}
 	// Draining an empty queue is free.
-	if q.drain(cpu) != 0 {
+	if spent, _ := q.drain(cpu); spent != 0 {
 		t.Error("empty drain charged cycles")
 	}
 }
@@ -69,6 +69,37 @@ func TestCmdQueueFlushAll(t *testing.T) {
 	q.drain(cpu)
 	if cpu.TLB.Len() != 0 {
 		t.Error("entries survived CmdFlushAll")
+	}
+}
+
+// The header words are guest-writable: a forged head or tail whose
+// unsigned occupancy exceeds the ring must be reported as corruption, not
+// index past the snapshot buffer or read as an empty queue. A legitimately
+// full ring is not corruption.
+func TestCmdQueueForgedIndicesReported(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		head, tail uint64
+		corrupt    bool
+	}{
+		{"forged-head", 10000, 0, true},
+		{"forged-tail", 0, 10000, true},
+		{"one-past-full", cmdqDefaultSlots + 1, 0, true},
+		{"full", cmdqDefaultSlots + 5, 5, false},
+	} {
+		_, q, cpu := queueFixture(t)
+		// Forging the header the way a guest can is the point of this test.
+		//covirt:allow queue-protocol guest-forged head
+		if err := q.mem.Write64(q.base+cmdqOffHead, tc.head); err != nil {
+			t.Fatal(err)
+		}
+		//covirt:allow queue-protocol guest-forged tail
+		if err := q.mem.Write64(q.base+cmdqOffTail, tc.tail); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.drain(cpu); (err != nil) != tc.corrupt {
+			t.Errorf("%s: drain err = %v, want corrupt=%v", tc.name, err, tc.corrupt)
+		}
 	}
 }
 
@@ -130,7 +161,7 @@ func TestCmdQueueBackpressureAbortsOnDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	close(done) // enclave already dead; no drainer will ever run
+	close(done)               // enclave already dead; no drainer will ever run
 	recs := make([]cmdRec, 9) // one more than the ring holds
 	for i := range recs {
 		recs[i] = cmdRec{CmdPing, 0, 0}
@@ -278,6 +309,50 @@ func TestCmdQueueFlushProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: mergeExtents returns ranges sorted by start, pairwise disjoint
+// and non-adjacent (adjacent ones would have merged), covering exactly the
+// pages of the input union.
+func TestMergeExtentsProperty(t *testing.T) {
+	const window = 64 // pages, small enough that overlaps are common
+	f := func(raw [][2]uint8) bool {
+		exts := make([]hw.Extent, len(raw))
+		want := make(map[uint64]bool)
+		for i, r := range raw {
+			start := uint64(r[0]%window) * hw.PageSize4K
+			size := uint64(r[1]%8+1) * hw.PageSize4K
+			exts[i] = hw.Extent{Start: start, Size: size}
+			for a := start; a < start+size; a += hw.PageSize4K {
+				want[a] = true
+			}
+		}
+		out := mergeExtents(exts)
+		got := make(map[uint64]bool)
+		for i, e := range out {
+			if e.Size == 0 {
+				return false
+			}
+			if i > 0 && out[i-1].Start+out[i-1].Size >= e.Start {
+				return false // unsorted, overlapping or adjacent
+			}
+			for a := e.Start; a < e.Start+e.Size; a += hw.PageSize4K {
+				got[a] = true
+			}
+		}
+		if len(got) != len(want) {
+			return false
+		}
+		for a := range want {
+			if !got[a] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"covirt/internal/authority"
 	"covirt/internal/hobbes"
@@ -28,22 +27,10 @@ const (
 // cheaper than walking a long range list on every core.
 const flushAllThreshold = 8
 
-// coalesceDefault is the package-wide default for epoch-based shootdown
-// coalescing, consulted when a Controller attaches. The equivalence suite
-// flips it to prove the coalesced and per-extent paths invalidate
-// identically; per-controller SetCoalescing overrides it afterwards.
-var coalesceDefault atomic.Bool
-
-func init() { coalesceDefault.Store(true) }
-
-// SetCoalescingDefault sets the package-wide coalescing default for
-// controllers attached afterwards. Returns the previous value.
-func SetCoalescingDefault(on bool) bool { return coalesceDefault.Swap(on) }
-
 // QoS is a per-enclave token-bucket admission policy on the controller's
-// ingest path. Refill is deterministic integer arithmetic on the
-// controller's virtual clock: tokens accrue at one per CyclesPerToken
-// cycles, capped at Burst. An enclave whose bucket is empty waits out the
+// ingest path, set through Features.QoS. Refill is deterministic integer
+// arithmetic on the controller's virtual clock: tokens accrue at one per
+// CyclesPerToken cycles, capped at Burst. An enclave whose bucket is empty waits out the
 // remainder of the current refill interval — the wait advances the virtual
 // clock (the stall itself is the passage of time) and is charged to the
 // event's cost, so a grant-storming enclave self-paces at the refill rate
@@ -56,18 +43,6 @@ type QoS struct {
 
 // enabled reports whether this policy actually admits.
 func (q QoS) enabled() bool { return q.Burst > 0 && q.CyclesPerToken > 0 }
-
-// qosDefault is the package-wide admission default, consulted at Attach
-// time (same pattern as coalesceDefault; the QoS-off/on equivalence suite
-// flips it around experiment runs).
-var qosDefault atomic.Value // QoS
-
-// SetQoSDefault sets the package-wide admission default for controllers
-// attached afterwards. Returns the previous value.
-func SetQoSDefault(q QoS) QoS {
-	prev, _ := qosDefault.Swap(q).(QoS)
-	return prev
-}
 
 // IngestStats counts one enclave's traffic through the controller's
 // ingest path (resource-assignment events, admission decisions, epochs,
@@ -210,55 +185,13 @@ type Controller struct {
 	pending  map[int]Features // pre-boot per-enclave overrides
 	states   map[int]*enclaveState
 
-	// coalesce enables epoch-based shootdown coalescing (merge the open
-	// epoch's dirty ranges into one flush per core); qos is the admission
-	// policy applied to every enclave; clock is the controller's virtual
-	// ingest timeline (advanced by admission stalls — the stall is the
-	// passage of time). All are initialized from the package defaults at
-	// Attach and overridable per controller.
-	coalesce bool
-	qos      QoS
-	clock    hw.Clock
+	// clock is the controller's virtual ingest timeline, advanced by
+	// admission stalls (the stall is the passage of time).
+	clock hw.Clock
 
 	// tracer is the optional flight recorder shared with all hypervisor
 	// instances (nil-safe; see EnableTracing).
 	tracer *trace.Buffer
-}
-
-// SetCoalescing enables or disables epoch-based shootdown coalescing on
-// this controller (the per-extent path pushes one flush per dirty range;
-// both paths share the epoch completion protocol, so invalidation
-// semantics are identical — the equivalence suite proves it).
-func (c *Controller) SetCoalescing(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.coalesce = on
-}
-
-// SetQoS installs the admission policy for this controller's enclaves
-// (zero disables).
-func (c *Controller) SetQoS(q QoS) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.qos = q
-}
-
-// IngestClock exposes the controller's virtual ingest timeline. Tests and
-// management tooling advance it to model elapsed time between bursts
-// (admission buckets refill against it).
-func (c *Controller) IngestClock() *hw.Clock { return &c.clock }
-
-// coalesceOn / qosPolicy read the switches under the lock.
-func (c *Controller) coalesceOn() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coalesce
-}
-
-func (c *Controller) qosPolicy() QoS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.qos
 }
 
 // EnableTracing attaches a flight recorder capturing every VM exit and
@@ -293,10 +226,6 @@ func Attach(mach *hw.Machine, fw *pisces.Framework, master *hobbes.Master, defau
 		defaults: defaults,
 		pending:  make(map[int]Features),
 		states:   make(map[int]*enclaveState),
-		coalesce: coalesceDefault.Load(),
-	}
-	if q, ok := qosDefault.Load().(QoS); ok {
-		c.qos = q
 	}
 	c.rootIO = c.auth.Mint(0, authority.KindIO, authority.RightsAll,
 		authority.WildScope(), "root-io")
@@ -810,8 +739,8 @@ func (c *Controller) mapExtents(ev *hobbes.Event) error {
 	return nil
 }
 
-// admit applies the controller's admission policy to one ingest event of
-// st's enclave and returns the stall cycles the caller charges to the
+// admit applies the enclave's admission policy (Features.QoS) to one of
+// its ingest events and returns the stall cycles the caller charges to the
 // event (outside the ingest lock, like every other event-cost charge). A
 // stalled admission advances the controller's virtual clock by the stall
 // (the wait IS the passage of time — deterministic for sequentially driven
@@ -821,7 +750,7 @@ func (c *Controller) admit(st *enclaveState, ev *hobbes.Event) uint64 {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
 	st.ingest.Events++
-	q := c.qosPolicy()
+	q := st.feat.QoS
 	if !q.enabled() {
 		return 0
 	}
@@ -862,14 +791,12 @@ func mergeExtents(exts []hw.Extent) []hw.Extent {
 	sort.Slice(exts, func(i, j int) bool { return exts[i].Start < exts[j].Start })
 	out := exts[:1]
 	for _, e := range exts[1:] {
-		last := &out[len(out)-1]
-		if e.Start <= last.Start+last.Size {
-			if end := e.Start + e.Size; end > last.Start+last.Size {
-				last.Size = end - last.Start
-			}
-			continue
+		last := out[len(out)-1]
+		if e.Start > last.End() {
+			out = append(out, e)
+		} else if e.End() > last.End() {
+			out[len(out)-1] = hw.Extent{Start: last.Start, Size: e.End() - last.Start}
 		}
-		out = append(out, e)
 	}
 	return out
 }
@@ -940,11 +867,10 @@ func (c *Controller) flushIngest(ev *hobbes.Event) error {
 }
 
 // closeEpoch seals the open shootdown epoch: the accumulated dirty ranges
-// become one batched command push per core — merged (and collapsed to a
-// CmdFlushAll past flushAllThreshold) when coalescing is on, verbatim
-// per-extent when off — terminated by a CmdEpoch marker. Every core gets
-// one doorbell, and the operation completes only when every core reports
-// the epoch applied. Returns the issue and stall cycles charged to the
+// are merged (and collapsed to a CmdFlushAll past flushAllThreshold) into
+// one batched command push per core, terminated by a CmdEpoch marker.
+// Every core gets one doorbell, and the operation completes only when
+// every core reports the epoch applied. Returns the issue and stall cycles charged to the
 // triggering event.
 func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, error) {
 	st.ingestMu.Lock()
@@ -956,11 +882,8 @@ func (c *Controller) closeEpoch(st *enclaveState, enc *pisces.Enclave) (uint64, 
 	st.dirty = nil
 	st.dirtyEvents = 0
 	raw := uint64(len(ranges))
-	flushAll := false
-	if c.coalesceOn() {
-		ranges = mergeExtents(ranges)
-		flushAll = len(ranges) > flushAllThreshold
-	}
+	ranges = mergeExtents(ranges)
+	flushAll := len(ranges) > flushAllThreshold
 	st.epoch++
 	epoch := st.epoch
 	st.ingest.Epochs++

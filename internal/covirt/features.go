@@ -55,6 +55,9 @@ type Features struct {
 	// queue stride; the 8-slot setting reproduces the pre-batching
 	// geometry for regression tests.
 	CmdQSlots uint64
+	// QoS is the enclave's token-bucket admission policy on the
+	// controller's ingest path (the zero value admits every event).
+	QoS QoS
 }
 
 // Common configurations used throughout the evaluation.

@@ -140,9 +140,15 @@ func (h *Hypervisor) HandleExit(c *hw.CPU, info *vmx.ExitInfo) vmx.ExitAction {
 		return vmx.ActionResume
 
 	case vmx.ExitNMI:
-		// The controller's doorbell: synchronize local state.
+		// The controller's doorbell: synchronize local state. Forged ring
+		// indices are a contained abort, never a host fault.
 		if h.queue != nil {
-			c.TSC += h.queue.drain(c)
+			spent, err := h.queue.drain(c)
+			c.TSC += spent
+			if err != nil {
+				h.terminate("command queue corrupted: " + err.Error())
+				return vmx.ActionKill
+			}
 		}
 		return vmx.ActionResume
 

@@ -40,45 +40,35 @@ func addAndWarm(t *testing.T, r *rig, enc *pisces.Enclave, k *kitten.Kernel, cor
 	return exts
 }
 
-// TestEpochCoalescingEquivalence proves the invalidation semantics of the
-// coalesced path: a batched removal with range merging on and the same
-// removal with merging off must leave every enclave core's TLB in the same
-// state (no stale translation for any removed page), while the coalesced
-// run pushes strictly fewer flush commands. Both runs close exactly one
-// epoch per batch.
+// TestEpochCoalescingEquivalence checks the coalesced shootdown against
+// the property any invalidation scheme must meet: after a batched removal
+// no enclave core keeps a translation for any removed page. Adjacent
+// 2 MiB grants merge into one range, so the one epoch costs one flush per
+// core instead of one per extent per core.
 func TestEpochCoalescingEquivalence(t *testing.T) {
 	const cores, extents = 2, 4
-	for _, coalesce := range []bool{true, false} {
-		r := newRig(t, covirt.FeaturesMem)
-		r.ctrl.SetCoalescing(coalesce)
-		enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
-		exts := addAndWarm(t, r, enc, k, cores, extents)
-		if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
-			t.Fatalf("coalesce=%v: %v", coalesce, err)
-		}
-		for core := 0; core < cores; core++ {
-			for _, ext := range exts {
-				if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
-					t.Errorf("coalesce=%v: core %d holds a stale translation for %v", coalesce, core, ext)
-				}
+	r := newRig(t, covirt.FeaturesMem)
+	enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
+	exts := addAndWarm(t, r, enc, k, cores, extents)
+	if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
+		t.Fatal(err)
+	}
+	for core := 0; core < cores; core++ {
+		for _, ext := range exts {
+			if k.CPU(core).TLB.Lookup(ext.Start + 4096) {
+				t.Errorf("core %d holds a stale translation for %v", core, ext)
 			}
 		}
-		qs := r.ctrl.QueueStatsFor(enc.ID)
-		if qs.Ingest.Epochs != 1 {
-			t.Errorf("coalesce=%v: epochs = %d, want 1", coalesce, qs.Ingest.Epochs)
-		}
-		// Adjacent 2 MiB grants merge into one range: one flush per core
-		// coalesced, one per extent per core verbatim.
-		want := uint64(cores * extents)
-		if coalesce {
-			want = uint64(cores)
-		}
-		if qs.Ingest.FlushCmds != want {
-			t.Errorf("coalesce=%v: flush cmds = %d, want %d", coalesce, qs.Ingest.FlushCmds, want)
-		}
-		if coalesce && qs.Ingest.FlushCmdsSaved == 0 {
-			t.Error("coalescing saved no flush commands")
-		}
+	}
+	qs := r.ctrl.QueueStatsFor(enc.ID)
+	if qs.Ingest.Epochs != 1 {
+		t.Errorf("epochs = %d, want 1", qs.Ingest.Epochs)
+	}
+	if qs.Ingest.FlushCmds != cores {
+		t.Errorf("flush cmds = %d, want %d (one merged range per core)", qs.Ingest.FlushCmds, cores)
+	}
+	if want := uint64(cores * (extents - 1)); qs.Ingest.FlushCmdsSaved != want {
+		t.Errorf("flush cmds saved = %d, want %d", qs.Ingest.FlushCmdsSaved, want)
 	}
 }
 
@@ -139,13 +129,13 @@ func TestBatchedRemoveFlushAllThreshold(t *testing.T) {
 }
 
 // TestOldGeometryBackpressure is the end-to-end regression for the hard
-// "command queue full" failure: with the pre-batching 8-slot ring and
-// coalescing off, a 16-extent batch pushes 17 records per core — the old
-// code errored out of the unmap; the new path parks under backpressure and
-// completes, charging the stall.
+// "command queue full" failure: with the pre-batching 8-slot ring, a batch
+// of 8 disjoint extents merges to 8 ranges (not past flushAllThreshold)
+// plus the epoch marker — 9 records per core. The old code errored out of
+// the unmap; the new path parks under backpressure and completes, charging
+// the stall.
 func TestOldGeometryBackpressure(t *testing.T) {
 	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetCoalescing(false)
 	feat := covirt.FeaturesMem
 	feat.CmdQSlots = 8
 	be, err := r.node.BootGuest(testbed.Guest{
@@ -157,13 +147,22 @@ func TestOldGeometryBackpressure(t *testing.T) {
 	t.Cleanup(func() { _ = r.h.Pisces.Destroy(be.Enc) })
 	enc, k := be.Enc, be.Kitten
 
-	exts := addAndWarm(t, r, enc, k, 2, 16)
+	// Remove every other grant so no two removed extents are adjacent.
+	var exts []hw.Extent
+	for i, ext := range addAndWarm(t, r, enc, k, 2, 16) {
+		if i%2 == 0 {
+			exts = append(exts, ext)
+		}
+	}
 	if err := r.h.Pisces.RemoveMemoryBatch(enc, exts); err != nil {
 		t.Fatalf("batched remove overflowing the old geometry: %v", err)
 	}
 	qs := r.ctrl.QueueStatsFor(enc.ID)
 	if qs.Slots != 8 {
 		t.Fatalf("ring slots = %d, want the old 8-slot geometry", qs.Slots)
+	}
+	if qs.Ingest.FlushCmds != 2*8 {
+		t.Errorf("flush cmds = %d, want 8 ranges per core", qs.Ingest.FlushCmds)
 	}
 	if qs.Ingest.StallCycles == 0 {
 		t.Error("overflowing the 8-slot ring charged no backpressure stall")
@@ -183,7 +182,8 @@ func TestOldGeometryBackpressure(t *testing.T) {
 // a single wait — its per-event apply cost, including p99, is identical to
 // a run with no stormer at all.
 func TestQoSStarvation(t *testing.T) {
-	policy := covirt.QoS{Burst: 8, CyclesPerToken: 10000}
+	feat := covirt.FeaturesMem
+	feat.QoS = covirt.QoS{Burst: 8, CyclesPerToken: 10000}
 	const victimPairs = 4
 
 	// victimCosts drives the victim's event sequence on rig r and returns
@@ -212,16 +212,14 @@ func TestQoSStarvation(t *testing.T) {
 	}
 
 	// Control: the victim alone under the same QoS policy.
-	ctl := newRig(t, covirt.FeaturesMem)
-	ctl.ctrl.SetQoS(policy)
+	ctl := newRig(t, feat)
 	victimAlone, _ := ctl.boot(t, "victim", 1, []int{0}, 128<<20)
 	baseline := victimCosts(ctl, victimAlone, nil)
 
 	// Measured: the victim interleaved with a storming neighbor that
 	// bursts 10 grant/revoke pairs (20 admissions) before every victim
 	// pair.
-	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetQoS(policy)
+	r := newRig(t, feat)
 	stormer, _ := r.boot(t, "stormer", 1, []int{0}, 128<<20)
 	victim, _ := r.boot(t, "victim", 1, []int{0}, 128<<20)
 	costs := victimCosts(r, victim, func(int) {
@@ -254,6 +252,74 @@ func TestQoSStarvation(t *testing.T) {
 	}
 }
 
+// TestDeepQoSBucketIsFree: an admission bucket deep enough that the
+// traffic never drains it costs nothing. Grant, single-revoke and
+// batched-revoke traffic charges the same per-event Cost and leaves every
+// enclave core at the same guest TSC with and without the policy.
+func TestDeepQoSBucketIsFree(t *testing.T) {
+	// One core: a second enclave core idles between tasks and takes a
+	// host-timing-dependent number of interrupts, so its TSC is not a
+	// pure function of the traffic.
+	const cores = 1
+	type run struct {
+		costs []uint64 // per bus event of the enclave, in emission order
+		tsc   [cores]uint64
+		qs    *covirt.QueueStats
+	}
+	drive := func(feat covirt.Features) run {
+		var out run
+		r := newRig(t, feat)
+		enc, k := r.boot(t, "lwk", cores, []int{0}, 128<<20)
+		r.h.Master.Bus.Subscribe(func(ev *hobbes.Event) error {
+			if ev.Enclave == enc {
+				out.costs = append(out.costs, ev.Cost)
+			}
+			return nil
+		})
+		exts := addAndWarm(t, r, enc, k, cores, 6)
+		for _, ext := range exts[:2] {
+			if err := r.h.Pisces.RemoveMemory(enc, ext); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.h.Pisces.RemoveMemoryBatch(enc, exts[2:]); err != nil {
+			t.Fatal(err)
+		}
+		for core := 0; core < cores; core++ {
+			task, _ := k.Spawn("tsc", core, func(e *kitten.Env) error {
+				out.tsc[core] = e.TSC()
+				return nil
+			})
+			if err := task.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.qs = r.ctrl.QueueStatsFor(enc.ID)
+		return out
+	}
+	deep := covirt.FeaturesMem
+	deep.QoS = covirt.QoS{Burst: 4096, CyclesPerToken: 2000}
+	base, got := drive(covirt.FeaturesMem), drive(deep)
+
+	if got.qs.Ingest.AdmissionWaits != 0 {
+		t.Errorf("deep bucket stalled %d admissions", got.qs.Ingest.AdmissionWaits)
+	}
+	if got.qs.Tokens >= deep.QoS.Burst {
+		t.Errorf("bucket still full (%d tokens): admission never ran", got.qs.Tokens)
+	}
+	if len(got.costs) != len(base.costs) || len(base.costs) == 0 {
+		t.Fatalf("events = %d with QoS, %d without", len(got.costs), len(base.costs))
+	}
+	for i := range base.costs {
+		if got.costs[i] != base.costs[i] {
+			t.Errorf("event %d cost %d with QoS, %d without", i, got.costs[i], base.costs[i])
+		}
+	}
+	if got.tsc != base.tsc {
+		t.Errorf("guest TSC %v with QoS, %v without", got.tsc, base.tsc)
+	}
+}
+
 // TestConcurrentMultiEnclaveIngest is the -race stress for the ingest
 // path: several enclaves push grant/revoke traffic (single events and
 // batches) concurrently while an observer polls queue statistics. Any data
@@ -261,8 +327,9 @@ func TestQoSStarvation(t *testing.T) {
 // the failure.
 func TestConcurrentMultiEnclaveIngest(t *testing.T) {
 	const enclaves = 3
-	r := newRig(t, covirt.FeaturesMem)
-	r.ctrl.SetQoS(covirt.QoS{Burst: 64, CyclesPerToken: 1000})
+	feat := covirt.FeaturesMem
+	feat.QoS = covirt.QoS{Burst: 64, CyclesPerToken: 1000}
+	r := newRig(t, feat)
 	// The rig donates three cores per node; the third two-core enclave
 	// straddles both nodes.
 	nodeSets := [][]int{{0}, {1}, {0, 1}}

@@ -35,12 +35,13 @@ func TestMTTRRecoversAndQuarantines(t *testing.T) {
 // watchdog scans, jittered restarts, quarantine — produces byte-identical
 // output whether jobs run serially or eight at a time.
 func TestMTTRDeterministicAcrossParallelism(t *testing.T) {
+	reps := 2
 	if testing.Short() {
-		t.Skip("short mode")
+		reps = 1
 	}
 	run := func(parallel int) string {
 		var buf bytes.Buffer
-		if err := RunMTTR(Options{Reps: 2, Parallel: parallel}, &buf); err != nil {
+		if err := RunMTTR(Options{Reps: reps, Parallel: parallel}, &buf); err != nil {
 			t.Fatalf("mttr parallel=%d: %v", parallel, err)
 		}
 		return buf.String()

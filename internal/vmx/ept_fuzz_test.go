@@ -153,6 +153,29 @@ func checkPage(t *testing.T, e *EPT, m *eptModel, gpa uint64) {
 	}
 }
 
+// checkCached requires every translation-cache hit for gpa under the
+// current generation to agree with a fresh EPT.Walk, then caches the walk
+// as TranslateGPA does, so later ops probe entries left stale by remaps.
+func checkCached(t *testing.T, e *EPT, tc *transCache, gpa uint64) {
+	t.Helper()
+	if gpa >= modelSpan {
+		return
+	}
+	gen := e.Gen()
+	for _, write := range []bool{false, true} {
+		res, err := e.Walk(gpa, write)
+		if c, ok := tc.lookup(gpa, write, gen); ok {
+			if err != nil || c.base != gpa&^(res.PageSize-1) || c.pageSize != res.PageSize ||
+				c.levels != res.Levels || c.perms != res.Perms {
+				t.Fatalf("%#x write=%v: cache hit %+v under gen %d, walk %+v, %v", gpa, write, *c, gen, res, err)
+			}
+		}
+		if err == nil {
+			tc.insert(gpa, res, gen)
+		}
+	}
+}
+
 // fuzzOp decodes one 6-byte operation record:
 //
 //	byte 0: bit 0 unmap, bits 1-3 perms, bits 4-5 start alignment
@@ -172,8 +195,9 @@ func fuzzOp(rec []byte) (unmap bool, perms Perms, gpa, size uint64) {
 
 // FuzzEPTMapUnmap runs random Map/Unmap sequences — including partial
 // unmaps that split 1G and 2M leaves, and 4K- or 2M-capped EPTs — against
-// the per-page model, checking walks, Mapped, Stats, Gen and that the
-// shared leaf entries never change.
+// the per-page model, checking walks, Mapped, Stats, Gen, that the shared
+// leaf entries never change, and that a translation cache fed by the walks
+// never hits with a translation the current EPT no longer has.
 //
 // The first byte picks the page-size cap (none, 4K, 2M); the rest is a
 // sequence of fuzzOp records.
@@ -193,6 +217,7 @@ func FuzzEPTMapUnmap(f *testing.F) {
 		e := NewEPT()
 		e.SetMaxPageSize(maxPage)
 		m := newEPTModel(maxPage)
+		var tc transCache
 		var probes []uint64
 		for ops := data[1:]; len(ops) >= recLen; ops = ops[recLen:] {
 			unmap, perms, gpa, size := fuzzOp(ops)
@@ -221,6 +246,7 @@ func FuzzEPTMapUnmap(f *testing.F) {
 			probes = append(probes, gpa-hw.PageSize4K, gpa, gpa+size-hw.PageSize4K, gpa+size)
 			for _, a := range probes {
 				checkPage(t, e, m, a)
+				checkCached(t, e, &tc, a)
 			}
 		}
 		// A final sweep samples the whole span, one page per 2M at a

@@ -6,10 +6,21 @@ import (
 	"covirt/internal/hw"
 )
 
+// uncachedVirt is the uncached reference for the translation cache: it
+// drops the VCPU's cached walks before delegating every nested
+// translation, so each TLB miss takes the full EPT.Walk.
+type uncachedVirt struct{ *VCPU }
+
+func (u uncachedVirt) TranslateGPA(c *hw.CPU, gpa uint64, write bool) (uint64, uint64, error) {
+	u.InvalidateTransCache()
+	return u.VCPU.TranslateGPA(c, gpa, write)
+}
+
 // driveAccesses runs a representative guest access mix (TLB-missing random
-// touches, streams, guarded reads) on a fresh machine + EPT-backed VCPU and
-// returns the CPU for counter inspection.
-func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
+// touches, streams, guarded reads) on a fresh machine + EPT-backed VCPU —
+// without its translation cache when uncached — and returns the CPU for
+// counter inspection and the number of EPT walks taken.
+func driveAccesses(t *testing.T, maxPage uint64, uncached bool) (*hw.CPU, uint64) {
 	t.Helper()
 	m := vcpuTestMachine(t)
 	c := m.CPU(0)
@@ -23,7 +34,10 @@ func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
 	}
 	vmcs := NewVMCS(0)
 	vmcs.EPT = ept
-	Launch(c, vmcs, &killHandler{})
+	v := Launch(c, vmcs, &killHandler{})
+	if uncached {
+		c.Virt = uncachedVirt{v}
+	}
 
 	start := hw.AlignUp(base, hw.PageSize2M)
 	rng := hw.NewRand(42)
@@ -42,18 +56,20 @@ func driveAccesses(t *testing.T, maxPage uint64) *hw.CPU {
 	if _, err := c.Read64G(start + 0x100); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, ept.WalkCount()
 }
 
 // TestTransCacheCostEquivalence proves the translation cache changes no
-// simulated state: identical TSC, Instret, IRQ and TLB counters with the
-// cache force-disabled vs enabled, across page-size configurations.
+// simulated state: identical TSC, Instret and TLB counters with the cache
+// invalidated before every translation vs in normal use, across page-size
+// configurations.
 func TestTransCacheCostEquivalence(t *testing.T) {
 	for _, maxPage := range []uint64{0, hw.PageSize4K, hw.PageSize2M} {
-		SetTransCacheEnabled(false)
-		off := driveAccesses(t, maxPage)
-		SetTransCacheEnabled(true)
-		on := driveAccesses(t, maxPage)
+		off, offWalks := driveAccesses(t, maxPage, true)
+		on, onWalks := driveAccesses(t, maxPage, false)
+		if offWalks <= onWalks {
+			t.Errorf("maxPage %d: uncached run walked %d times, cached %d: the cache absorbed nothing", maxPage, offWalks, onWalks)
+		}
 		if off.TSC != on.TSC {
 			t.Errorf("maxPage %d: TSC diverged: off %d on %d", maxPage, off.TSC, on.TSC)
 		}
@@ -64,7 +80,6 @@ func TestTransCacheCostEquivalence(t *testing.T) {
 			t.Errorf("maxPage %d: TLB stats diverged: off %+v on %+v", maxPage, off.TLB.Stats(), on.TLB.Stats())
 		}
 	}
-	SetTransCacheEnabled(true)
 }
 
 // TestTransCacheAbsorbsWalks checks the cache actually works: with giant

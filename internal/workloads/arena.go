@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file is the workload state arena layer (DESIGN.md §11 "Zero-alloc
 // workload discipline"): steady-state inner loops must not allocate, so
@@ -12,20 +9,6 @@ import (
 // crosses repetitions, like the CG vector set and the GUPS table — drawn
 // from a sync.Pool here. Per-rank result slots written concurrently under
 // -parallel are padded to a cache line so ranks never false-share.
-
-// spanRoutingOff gates the batched AccessGather routing of the workloads'
-// element-wise charge loops (default on: routing enabled). The scalar
-// per-element loops are kept as the semantic reference; SetSpanRouting
-// (false) forces them, for the twin-run equivalence suite and for
-// bisecting suspected batching bugs. Charged cycles are identical either
-// way — only host-side wall clock changes.
-var spanRoutingOff atomic.Bool
-
-// SetSpanRouting toggles the batched gather routing (default on).
-func SetSpanRouting(on bool) { spanRoutingOff.Store(!on) }
-
-// spanRouting reports whether the batched routing is active.
-func spanRouting() bool { return !spanRoutingOff.Load() }
 
 // padFloat64 is a float64 padded to a cache line, for per-rank slots
 // written concurrently during the measured region.

@@ -97,8 +97,15 @@ func (p LammpsProblem) profile() lammpsProfile {
 	}
 }
 
+// chargeRandom charges len(buf) uniformly random word accesses inside ext
+// as one gather, drawing the addresses from rng.
+func chargeRandom(e *kitten.Env, rng *hw.Rand, buf []uint64, ext hw.Extent, write bool) {
+	fillRandomAddrs(buf, rng, ext)
+	e.AccessGather(buf, 0, write, hw.AccessDRAM)
+}
+
 // fillRandomAddrs generates uniformly random word addresses inside ext,
-// advancing rng exactly as the element-wise charge loops do.
+// one RNG draw per address.
 //
 //covirt:hot
 func fillRandomAddrs(buf []uint64, rng *hw.Rand, ext hw.Extent) {
@@ -163,16 +170,7 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 			// Neighbor rebuild: binning is random access.
 			if step%prof.rebuildEvery == 0 {
 				md.buildCells()
-				if spanRouting() {
-					buf := scratch[:rebuilds]
-					fillRandomAddrs(buf, &rng, neighExt)
-					e.AccessGather(buf, 0, true, hw.AccessDRAM)
-				} else {
-					for a := 0; a < atoms/4; a++ {
-						off := rng.Next() % (neighExt.Size / 8)
-						e.Access(neighExt.Start+off*8, true, hw.AccessDRAM)
-					}
-				}
+				chargeRandom(e, &rng, scratch[:rebuilds], neighExt, true)
 				e.Compute(uint64(atoms) * 30)
 			}
 			// Force pass(es): stream neighbor lists + positions, real LJ math.
@@ -185,17 +183,8 @@ func (l *Lammps) Run(k *kitten.Kernel, threads int) (*Result, error) {
 				e.Stream(neighExt.Start, pairs*8, false)
 				e.Stream(posExt.Start, uint64(atoms)*24, false)
 				e.Compute(pairs * prof.flopsPerPair)
-				if spanRouting() {
-					if lookups > 0 {
-						buf := scratch[:lookups]
-						fillRandomAddrs(buf, &rng, lookupExt)
-						e.AccessGather(buf, 0, false, hw.AccessDRAM)
-					}
-				} else {
-					for t := uint64(0); t < lookups; t++ {
-						off := rng.Next() % (lookupExt.Size / 8)
-						e.Access(lookupExt.Start+off*8, false, hw.AccessDRAM)
-					}
+				if lookups > 0 {
+					chargeRandom(e, &rng, scratch[:lookups], lookupExt, false)
 				}
 			}
 			// Integrate (velocity Verlet): stream positions/velocities.

@@ -2,14 +2,13 @@
 # flake-repro.sh — stress repro for the known multi-rank cycle jitter
 # flake (ROADMAP "Known flake"): under a saturated host with the whole
 # -race suite running concurrently, multi-rank cells occasionally shift
-# by a few hundred cycles between identical runs. Seen at the PR 6 seed
-# in TestWorkloadCyclesStableAcrossRepeats, TestSpanRoutingEquivalence/
-# hpcg, and (by one cycle) the fig5b leg of
-# TestSpanRoutingOutputEquivalence. All three pass reliably on an idle
-# host or package-serially, which is exactly what makes the flake hard
-# to catch in CI — this script recreates the scheduler pressure on
-# purpose and loops the suspects until one trips or the iteration
-# budget runs out.
+# by a few hundred cycles between identical runs. It was first seen in
+# TestWorkloadCyclesStableAcrossRepeats and in the batched-vs-element-wise
+# gather twins. All pass reliably on an idle host or package-serially,
+# which is exactly what makes the flake hard to catch in CI — this script
+# recreates the scheduler pressure on purpose and loops the suspects (a
+# multi-rank repeat, the GUPS and gather twins, and a figure-level
+# determinism check) until one trips or the iteration budget runs out.
 #
 #   ./scripts/flake-repro.sh [iterations] [load-procs]
 #
@@ -17,8 +16,9 @@
 # load-procs  background antagonist processes generating scheduler
 #             pressure (default: number of CPUs)
 #
-# Exit status: 1 as soon as any iteration fails (the repro), 0 if the
-# budget runs out without a failure. A clean exit is NOT proof the
+# Exit status: 1 as soon as any iteration fails (the repro) or a suspect
+# name matches no test (a renamed or deleted test would otherwise pass
+# silently), 0 if the budget runs out without a failure. A clean exit is NOT proof the
 # flake is fixed — raise the iteration count and run on a loaded host
 # before claiming that. The antagonists are plain spinning go test
 # compile/run loops rather than synthetic spinners so the pressure
@@ -35,8 +35,22 @@ load="${2:-$nproc_guess}"
 # artifact and the loop isn't dominated by recompiles.
 echo "==> building race-instrumented suspect binaries"
 mkdir -p /tmp/covirt-flake
-go test -race -c -o /tmp/covirt-flake/workloads.test ./internal/workloads
-go test -race -c -o /tmp/covirt-flake/harness.test ./internal/harness
+for pkg in workloads kitten harness; do
+    go test -race -c -o "/tmp/covirt-flake/$pkg.test" "./internal/$pkg"
+done
+
+# The suspect battery: one "<package> <test>" pair per line.
+suspects="workloads TestWorkloadCyclesStableAcrossRepeats
+workloads TestGUPSScheduleIPIMatchesElementwise
+kitten TestEnvAccessGatherMatchesAccessLoop
+harness TestFig5aOutputDeterministic"
+
+echo "$suspects" | while read -r pkg name; do
+    if [ -z "$("/tmp/covirt-flake/$pkg.test" -test.list "^$name\$")" ]; then
+        echo "flake-repro.sh: no test $name in internal/$pkg" >&2
+        exit 1
+    fi
+done || exit 1
 
 # Antagonists: saturate the scheduler with GC-heavy churn for the whole
 # run. Killed on exit no matter how we leave.
@@ -64,14 +78,9 @@ fail=0
 n=1
 while [ "$n" -le "$iters" ]; do
     echo "==> iteration $n/$iters"
-    if ! /tmp/covirt-flake/workloads.test \
-        -test.run 'TestWorkloadCyclesStableAcrossRepeats|TestSpanRoutingEquivalence' \
-        -test.count 2; then
-        fail=1
-    fi
-    if ! /tmp/covirt-flake/harness.test \
-        -test.run 'TestSpanRoutingOutputEquivalence' \
-        -test.count 1; then
+    if ! echo "$suspects" | while read -r pkg name; do
+        "/tmp/covirt-flake/$pkg.test" -test.run "^$name\$" -test.count 2 || exit 1
+    done; then
         fail=1
     fi
     if [ "$fail" -ne 0 ]; then
