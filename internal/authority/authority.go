@@ -287,12 +287,13 @@ func (t *Table) lookup(id uint64) *entry {
 	return es[id-1]
 }
 
-// publish appends e under mu and republishes the slice. The old snapshot
-// stays valid for concurrent readers: entry pointers are stable and the
-// prefix is immutable.
+// publish appends e under mu and republishes the slice. The append fills
+// the backing array's spare capacity in place (amortised O(1)), and old
+// snapshots stay valid for concurrent readers: a snapshot's length is
+// fixed, readers never look past it, entries are only ever appended (under
+// mu), entry pointers are stable and the prefix is immutable.
 func (t *Table) publish(e *entry) {
-	es := t.snapshot()
-	next := append(es[:len(es):len(es)], e)
+	next := append(t.snapshot(), e)
 	t.entries.Store(&next)
 }
 

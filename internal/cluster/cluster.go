@@ -101,8 +101,11 @@ type Cluster struct {
 	// discipline), so fleet MTTR figures are scheduling-independent.
 	Clock hw.Clock
 
-	mu         sync.Mutex //covirt:guards placements,nextApp
-	placements map[uint64]*Placement
+	mu sync.Mutex //covirt:guards placements,nextApp
+	// placements is in ascending id order: ids only grow and placements
+	// are never removed, so Place appends and every fleet-wide sweep
+	// enumerates deterministically without sorting.
+	placements []*Placement
 	nextApp    uint64
 }
 
@@ -122,11 +125,10 @@ func New(opt Options) (*Cluster, error) {
 		spec = DefaultNodeSpec
 	}
 	c := &Cluster{
-		Opt:        opt,
-		Reg:        NewFedRegistry(shards, opt.Nodes),
-		Fab:        NewFabric(opt.Nodes, opt.Seed, opt.Fabric),
-		Auth:       authority.NewTable(),
-		placements: make(map[uint64]*Placement),
+		Opt:  opt,
+		Reg:  NewFedRegistry(shards, opt.Nodes),
+		Fab:  NewFabric(opt.Nodes, opt.Seed, opt.Fabric),
+		Auth: authority.NewTable(),
 	}
 	c.rootPlace = c.Auth.Mint(0, authority.KindPlace, authority.RightsAll,
 		authority.WildScope(), "fleet-root-place")

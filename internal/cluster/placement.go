@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"covirt/internal/authority"
 	"covirt/internal/testbed"
@@ -112,7 +111,7 @@ func (c *Cluster) Place(app App) (*Placement, error) {
 		}
 	}
 	c.nextApp = id
-	c.placements[id] = pl
+	c.placements = append(c.placements, pl)
 	return pl, nil
 }
 
@@ -153,25 +152,12 @@ func (c *Cluster) pickNodeLocked(m Member) *Node {
 	return best
 }
 
-// placementIDsLocked returns the live placement ids in ascending order,
-// so every fleet-wide sweep enumerates deterministically.
-func (c *Cluster) placementIDsLocked() []uint64 {
-	ids := make([]uint64, 0, len(c.placements))
-	for id := range c.placements {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Placements snapshots the live placements in id order.
 func (c *Cluster) Placements() []*Placement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Placement, 0, len(c.placements))
-	for _, id := range c.placementIDsLocked() {
-		out = append(out, c.placements[id])
-	}
+	out := make([]*Placement, len(c.placements))
+	copy(out, c.placements)
 	return out
 }
 
@@ -246,8 +232,7 @@ func (c *Cluster) Drain(node int) (int, error) {
 	}
 	c.Nodes[node].drained = true
 	moved := 0
-	for _, id := range c.placementIDsLocked() {
-		pl := c.placements[id]
+	for _, pl := range c.placements {
 		for i := range pl.Members {
 			if pl.Members[i].Node != node {
 				continue
@@ -278,8 +263,7 @@ func (c *Cluster) Undrain(node int) {
 func (c *Cluster) ReplaceEnclave(node int, guestName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.placementIDsLocked() {
-		pl := c.placements[id]
+	for _, pl := range c.placements {
 		for i := range pl.Members {
 			if pl.Members[i].Node == node && pl.Members[i].Enc.Guest.Name == guestName {
 				return c.replaceMemberLocked(pl, i, false, false)
@@ -304,8 +288,7 @@ func (c *Cluster) UpgradeNode(node int) (uint64, error) {
 		return 0, fmt.Errorf("cluster: node %d is down", node)
 	}
 	var maxBoot uint64
-	for _, id := range c.placementIDsLocked() {
-		pl := c.placements[id]
+	for _, pl := range c.placements {
 		for i := range pl.Members {
 			m := &pl.Members[i]
 			if m.Node != node {
@@ -383,8 +366,7 @@ func (c *Cluster) Recover() RecoverReport {
 		rep.At = c.Clock.Now()
 		return rep
 	}
-	for _, id := range c.placementIDsLocked() {
-		pl := c.placements[id]
+	for _, pl := range c.placements {
 		for i := range pl.Members {
 			if !c.Nodes[pl.Members[i].Node].down {
 				continue

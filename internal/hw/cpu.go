@@ -539,7 +539,7 @@ func (c *CPU) guardData(addr uint64, write bool, kind AccessKind) error {
 
 // memRW moves backing bytes for a guarded accessor through the per-core
 // cached region, so one logical access resolves its region once and takes
-// only the region's chunk lock — same semantics as PhysMem.Read/Write (the
+// only the region's page lock — same semantics as PhysMem.Read/Write (the
 // whole range must sit in a single region).
 func (c *CPU) memRW(addr uint64, p []byte, write bool) error {
 	r := c.findRegion(addr)

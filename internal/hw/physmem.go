@@ -16,19 +16,19 @@ const (
 )
 
 // Region is a contiguous range of backed physical memory belonging to one
-// NUMA node. Backing bytes are allocated lazily on first touch, in chunks,
-// so multi-gigabyte address space layouts stay cheap to construct.
+// NUMA node. Backing bytes are allocated lazily, one 4 KiB page at a time,
+// and only for pages that hold a non-zero byte: a page never written reads
+// as zeros, so reading it or writing zeros into it allocates nothing and
+// multi-gigabyte address space layouts stay cheap to construct.
 type Region struct {
 	Start uint64
 	Size  uint64
 	Node  int
 	Label string // owner tag, e.g. "host", "enclave-1"
 
-	mu     sync.Mutex
-	chunks map[uint64][]byte // chunk index -> backing
+	mu    sync.Mutex
+	pages map[uint64]*[PageSize4K]byte // page index -> backing
 }
-
-const regionChunk = 1 << 16 // 64 KiB lazy-allocation granule
 
 // End returns the first address past the region.
 func (r *Region) End() uint64 { return r.Start + r.Size }
@@ -38,32 +38,52 @@ func (r *Region) Contains(addr, size uint64) bool {
 	return addr >= r.Start && addr+size >= addr && addr+size <= r.End()
 }
 
-// copyChunk moves bytes between p and the chunk covering addr, allocating
-// the chunk if needed, and returns the count moved. The copy runs under the
-// region lock: cores and the host legitimately share pages (rings, the
-// heartbeat page), so the backing itself must serialize access — an aligned
-// 64-bit load can then observe a stale word but never a torn one.
-func (r *Region) copyChunk(addr uint64, p []byte, write bool) int {
+// copyPage moves bytes between p and the page covering addr and returns
+// the count moved. An unbacked page reads as zeros, and an all-zero write
+// into it is a no-op; only a write carrying a non-zero byte allocates the
+// page. The copy runs under the region lock: cores and the host
+// legitimately share pages (rings, the heartbeat page), so the backing
+// itself must serialize access — an aligned 64-bit load can then observe a
+// stale word but never a torn one.
+func (r *Region) copyPage(addr uint64, p []byte, write bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx := (addr - r.Start) / regionChunk
-	c, ok := r.chunks[idx]
-	if !ok {
-		//covirt:allow transitive-hot first-touch backing allocation, once per chunk
-		c = make([]byte, regionChunk)
-		r.chunks[idx] = c
+	idx := (addr - r.Start) / PageSize4K
+	off := (addr - r.Start) % PageSize4K
+	pg := r.pages[idx]
+	if pg == nil {
+		n := min(len(p), PageSize4K-int(off))
+		if !write {
+			clear(p[:n])
+			return n
+		}
+		if allZero(p[:n]) {
+			return n
+		}
+		//covirt:allow transitive-hot first non-zero write backs the page, once per page
+		pg = new([PageSize4K]byte)
+		r.pages[idx] = pg
 	}
-	off := (addr - r.Start) % regionChunk
 	if write {
-		return copy(c[off:], p)
+		return copy(pg[off:], p)
 	}
-	return copy(p, c[off:])
+	return copy(p, pg[off:])
+}
+
+// allZero reports whether every byte of p is zero.
+func allZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // read copies backed bytes at addr into p. addr must be inside the region.
 func (r *Region) read(addr uint64, p []byte) {
 	for len(p) > 0 {
-		n := r.copyChunk(addr, p, false)
+		n := r.copyPage(addr, p, false)
 		p = p[n:]
 		addr += uint64(n)
 	}
@@ -72,7 +92,7 @@ func (r *Region) read(addr uint64, p []byte) {
 // write copies p into the region's backing at addr.
 func (r *Region) write(addr uint64, p []byte) {
 	for len(p) > 0 {
-		n := r.copyChunk(addr, p, true)
+		n := r.copyPage(addr, p, true)
 		p = p[n:]
 		addr += uint64(n)
 	}
@@ -115,7 +135,7 @@ func (pm *PhysMem) AddRegion(start, size uint64, node int, label string) (*Regio
 	if start+size < start {
 		return nil, fmt.Errorf("hw: region %q wraps address space", label)
 	}
-	r := &Region{Start: start, Size: size, Node: node, Label: label, chunks: make(map[uint64][]byte)}
+	r := &Region{Start: start, Size: size, Node: node, Label: label, pages: make(map[uint64]*[PageSize4K]byte)}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	old := pm.snapshot()

@@ -84,17 +84,17 @@ func TestPhysMemReadWrite(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("Read64(untouched) = %#x, %v; want 0", v, err)
 	}
-	// Cross-chunk write/read (chunk granule is 64 KiB).
-	buf := make([]byte, regionChunk+100)
+	// Cross-page write/read (the lazy-backing granule is one 4 KiB page).
+	buf := make([]byte, PageSize4K+100)
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	if err := pm.Write(0x10000+regionChunk-50, buf); err != nil {
-		t.Fatalf("cross-chunk Write: %v", err)
+	if err := pm.Write(0x10000+PageSize4K-50, buf); err != nil {
+		t.Fatalf("cross-page Write: %v", err)
 	}
 	got := make([]byte, len(buf))
-	if err := pm.Read(0x10000+regionChunk-50, got); err != nil {
-		t.Fatalf("cross-chunk Read: %v", err)
+	if err := pm.Read(0x10000+PageSize4K-50, got); err != nil {
+		t.Fatalf("cross-page Read: %v", err)
 	}
 	for i := range buf {
 		if got[i] != buf[i] {
@@ -140,7 +140,7 @@ func TestAlignHelpers(t *testing.T) {
 }
 
 // Property: a written value is always read back identically anywhere within
-// a region, across chunk boundaries.
+// a region, across page boundaries.
 func TestPhysMemRoundTripProperty(t *testing.T) {
 	pm := NewPhysMem()
 	const base, size = 0x100000, 1 << 22
@@ -178,6 +178,174 @@ func TestRegionDisjointProperty(t *testing.T) {
 		for i := 1; i < len(regs); i++ {
 			if regs[i-1].End() > regs[i].Start {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// backedPages returns how many pages of r hold backing.
+func backedPages(r *Region) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pages)
+}
+
+// pageBacked reports whether page idx of r holds backing.
+func pageBacked(r *Region, idx uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pages[idx] != nil
+}
+
+// A read of memory that was never written returns zeros and allocates
+// nothing: neither a backing page nor anything else.
+func TestPhysMemUnwrittenReadAllocatesNothing(t *testing.T) {
+	pm := NewPhysMem()
+	r, err := pm.AddRegion(0x100000, 1<<20, 0, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 3*PageSize4K)
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	if err := pm.Read(0x100000+100, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range buf {
+		if b != 0 {
+			t.Fatalf("byte %d of unwritten memory = %#x, want 0", i, b)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		//covirt:allow physmem-errcheck in-range read of a region built above
+		_ = pm.Read(0x100000+100, buf)
+	})
+	if allocs != 0 {
+		t.Errorf("read of unwritten memory: %v allocs/op, want 0", allocs)
+	}
+	if n := backedPages(r); n != 0 {
+		t.Errorf("backed pages after reads = %d, want 0", n)
+	}
+}
+
+// An all-zero write into a page that was never written is a no-op: it
+// allocates nothing and the page stays unbacked.
+func TestPhysMemZeroWriteAllocatesNothing(t *testing.T) {
+	pm := NewPhysMem()
+	r, err := pm.AddRegion(0x100000, 1<<20, 0, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 2*PageSize4K)
+	allocs := testing.AllocsPerRun(100, func() {
+		//covirt:allow physmem-errcheck in-range write of a region built above
+		_ = pm.Write(0x100000+8, zeros)
+		//covirt:allow physmem-errcheck in-range write of a region built above
+		_ = pm.Write64(0x100000+3*PageSize4K, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("zero write to unbacked pages: %v allocs/op, want 0", allocs)
+	}
+	if n := backedPages(r); n != 0 {
+		t.Errorf("backed pages after zero writes = %d, want 0", n)
+	}
+	// Zeros written over a backed page still overwrite it.
+	if err := pm.Write64(0x100000+8, 0xFFFF); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Write(0x100000, zeros); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := pm.Read64(0x100000 + 8); err != nil || v != 0 {
+		t.Errorf("Read64 after zeroing a backed page = %#x, %v; want 0", v, err)
+	}
+}
+
+// A write straddling two pages with non-zero bytes in only one of them
+// backs only that page.
+func TestPhysMemStraddlingWriteBacksOnlyNonZeroPage(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		nonzero int // index into the 16-byte write of the one non-zero byte
+		page    uint64
+	}{
+		{"first", 2, 0},
+		{"second", 13, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pm := NewPhysMem()
+			r, err := pm.AddRegion(0, 1<<20, 0, "m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 16)
+			buf[tc.nonzero] = 0x5A
+			addr := uint64(PageSize4K - 8)
+			if err := pm.Write(addr, buf); err != nil {
+				t.Fatal(err)
+			}
+			if n, backed := backedPages(r), pageBacked(r, tc.page); n != 1 || !backed {
+				t.Errorf("backed pages = %d (page %d backed: %v), want only page %d", n, tc.page, backed, tc.page)
+			}
+			got := make([]byte, len(buf))
+			if err := pm.Read(addr, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				if got[i] != buf[i] {
+					t.Fatalf("byte %d = %#x, want %#x", i, got[i], buf[i])
+				}
+			}
+		})
+	}
+}
+
+// Property: a region behaves exactly like a flat byte array under any mix
+// of writes (some all-zero, some straddling pages) and reads.
+func TestPhysMemMatchesFlatModel(t *testing.T) {
+	const size = 8 * PageSize4K
+	f := func(ops []uint32, vals []uint8) bool {
+		pm := NewPhysMem()
+		if _, err := pm.AddRegion(0, size, 0, "m"); err != nil {
+			return false
+		}
+		model := make([]byte, size)
+		buf := make([]byte, 2*PageSize4K)
+		for i, op := range ops {
+			off := uint64(op) % size
+			n := uint64(op>>13)%uint64(len(buf)) + 1
+			if off+n > size {
+				n = size - off
+			}
+			p := buf[:n]
+			if op&3 != 3 && i < len(vals) {
+				// op&3 == 0 writes all zeros; otherwise a pattern with a
+				// zero on every third byte.
+				v := vals[i]
+				if op&3 == 0 {
+					v = 0
+				}
+				for j := range p {
+					p[j] = v * byte(j%3)
+				}
+				copy(model[off:], p)
+				if pm.Write(off, p) != nil {
+					return false
+				}
+				continue
+			}
+			if pm.Read(off, p) != nil {
+				return false
+			}
+			for j := range p {
+				if p[j] != model[off+uint64(j)] {
+					return false
+				}
 			}
 		}
 		return true

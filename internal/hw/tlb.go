@@ -133,7 +133,7 @@ func (c *tlbClass) remove(n *tlbNode) {
 	c.bases = c.bases[:last]
 	c.filter[filterBucket(n.base)]--
 	c.hint[filterBucket(moved.base)] = uint8(n.slot)
-	c.free = c.free[: len(c.free)+1]
+	c.free = c.free[:len(c.free)+1]
 	c.free[len(c.free)-1] = n
 }
 
@@ -174,7 +174,7 @@ func (c *tlbClass) insert(base, gen uint64) {
 // reset drops all live entries, keeping allocated nodes for reuse.
 func (c *tlbClass) reset() {
 	nf := len(c.free)
-	c.free = c.free[: nf+len(c.live)]
+	c.free = c.free[:nf+len(c.live)]
 	copy(c.free[nf:], c.live)
 	c.live = c.live[:0]
 	c.bases = c.bases[:0]
@@ -183,74 +183,56 @@ func (c *tlbClass) reset() {
 }
 
 // TLB simulates a unified translation lookaside buffer with separate
-// capacity classes per page size, true LRU replacement, and a generation
-// stamp so stale entries can be distinguished in tests. A TLB is private
-// to one CPU and must only be accessed from that CPU's execution context;
-// cross-CPU invalidations arrive via the interrupt path (CPU.poll).
+// capacity classes for the three architectural page sizes, true LRU
+// replacement, and a generation stamp so stale entries can be
+// distinguished in tests. A class is built on its first fill, so a CPU
+// that never takes a TLB miss carries none. A TLB is private to one CPU
+// and must only be accessed from that CPU's execution context; cross-CPU
+// invalidations arrive via the interrupt path (CPU.poll).
 type TLB struct {
-	classes map[uint64]*tlbClass
-	// std caches the three architectural classes for allocation-free
-	// lookups; extra tracks any non-standard page sizes (normally none).
-	std   [3]*tlbClass // 2M, 4K, 1G in probe order
-	extra []*tlbClass
+	std   [len(tlbSizes)]*tlbClass // indexed like tlbSizes; nil until first fill
 	gen   uint64
 	stats TLBStats
 }
 
-// Default per-page-size TLB capacities, loosely modelled on Broadwell
-// (64 × 4K, 32 × 2M, 4 × 1G data TLB entries).
-var defaultTLBCaps = map[uint64]int{
-	PageSize4K: 64,
-	PageSize2M: 32,
-	PageSize1G: 4,
-}
-
-// probeOrder is the lookup order (most common mapping sizes first).
-var probeOrder = [...]uint64{PageSize2M, PageSize4K, PageSize1G}
+// tlbSizes is the lookup order (most common mapping sizes first) and
+// tlbCaps the matching per-class capacities, loosely modelled on
+// Broadwell (32 × 2M, 64 × 4K, 4 × 1G data TLB entries).
+var (
+	tlbSizes = [...]uint64{PageSize2M, PageSize4K, PageSize1G}
+	tlbCaps  = [len(tlbSizes)]int{32, 64, 4}
+)
 
 // NewTLB returns an empty TLB with default capacities.
-func NewTLB() *TLB {
-	t := &TLB{classes: make(map[uint64]*tlbClass, len(defaultTLBCaps))}
-	for ps, capn := range defaultTLBCaps {
-		t.classes[ps] = newTLBClass(capn, ps)
-	}
-	t.reindex()
-	return t
-}
+func NewTLB() *TLB { return &TLB{} }
 
-// reindex rebuilds the probe caches after class-set changes.
-func (t *TLB) reindex() {
-	for i, ps := range probeOrder {
-		t.std[i] = t.classes[ps]
-	}
-	t.extra = t.extra[:0]
-	for ps, c := range t.classes {
-		if ps != PageSize4K && ps != PageSize2M && ps != PageSize1G {
-			t.extra = append(t.extra, c)
-		}
-	}
-}
-
-// class returns (creating if needed) the class for a page size. The three
-// architectural sizes resolve through the probe cache, skipping the map.
-func (t *TLB) class(pageSize uint64) *tlbClass {
+// classIndex maps an architectural page size to its class slot, or -1
+// for any other size.
+func classIndex(pageSize uint64) int {
 	switch pageSize {
 	case PageSize2M:
-		return t.std[0]
+		return 0
 	case PageSize4K:
-		return t.std[1]
+		return 1
 	case PageSize1G:
-		return t.std[2]
+		return 2
 	}
-	c, ok := t.classes[pageSize]
-	if !ok {
-		// One-time lazy creation of a non-architectural class; never part
-		// of the steady-state translation path.
-		//covirt:allow transitive-hot one-time class creation off the hot path
-		c = newTLBClass(16, pageSize) // unknown page size: modest default class
-		t.classes[pageSize] = c
-		//covirt:allow transitive-hot probe-cache rebuild only on class-set change
-		t.reindex()
+	return -1
+}
+
+// class returns the class for a page size, building it on first fill.
+// Guest mappings and EPT leaves are 4K, 2M or 1G, so any other size is a
+// simulator bug.
+func (t *TLB) class(pageSize uint64) *tlbClass {
+	i := classIndex(pageSize)
+	if i < 0 {
+		panic("hw: TLB fill with a non-architectural page size")
+	}
+	c := t.std[i]
+	if c == nil {
+		//covirt:allow transitive-hot first fill of a page-size class, once per CPU and size
+		c = newTLBClass(tlbCaps[i], pageSize)
+		t.std[i] = c
 	}
 	return c
 }
@@ -260,25 +242,16 @@ func (t *TLB) class(pageSize uint64) *tlbClass {
 // the whole translated span. Recency and hit/miss counters update exactly
 // as Lookup.
 func (t *TLB) Cover(addr uint64) (base, pageSize uint64, ok bool) {
-	for i, ps := range probeOrder {
+	for i := range t.std {
 		c := t.std[i]
 		if c == nil || len(c.live) == 0 {
 			continue
 		}
+		ps := tlbSizes[i]
 		if n := c.find(addr &^ (ps - 1)); n != nil {
 			c.touch(n)
 			t.stats.Hits++
 			return n.base, ps, true
-		}
-	}
-	for _, c := range t.extra {
-		if len(c.live) == 0 {
-			continue
-		}
-		if n := c.find(addr &^ (c.pageSize - 1)); n != nil {
-			c.touch(n)
-			t.stats.Hits++
-			return n.base, c.pageSize, true
 		}
 	}
 	t.stats.Misses++
@@ -317,8 +290,10 @@ func (t *TLB) InsertFresh(addr, pageSize uint64) {
 
 // FlushAll drops every cached translation and bumps the generation counter.
 func (t *TLB) FlushAll() {
-	for _, c := range t.classes {
-		c.reset()
+	for _, c := range t.std {
+		if c != nil {
+			c.reset()
+		}
 	}
 	t.gen++
 	t.stats.Flushes++
@@ -327,7 +302,10 @@ func (t *TLB) FlushAll() {
 // FlushRange drops all cached translations for pages overlapping
 // [addr, addr+size).
 func (t *TLB) FlushRange(addr, size uint64) {
-	for _, c := range t.classes {
+	for _, c := range t.std {
+		if c == nil {
+			continue
+		}
 		for i := 0; i < len(c.live); {
 			n := c.live[i]
 			if n.base < addr+size && n.base+n.pageSize > addr {
@@ -343,24 +321,28 @@ func (t *TLB) FlushRange(addr, size uint64) {
 // Len returns the number of cached translations.
 func (t *TLB) Len() int {
 	total := 0
-	for _, c := range t.classes {
-		total += len(c.live)
+	for _, c := range t.std {
+		if c != nil {
+			total += len(c.live)
+		}
 	}
 	return total
 }
 
 // Count returns the number of cached translations of one page size.
 func (t *TLB) Count(pageSize uint64) int {
-	if c := t.classes[pageSize]; c != nil {
-		return len(c.live)
+	if i := classIndex(pageSize); i >= 0 && t.std[i] != nil {
+		return len(t.std[i].live)
 	}
 	return 0
 }
 
-// Capacity returns the entry capacity of one page-size class.
+// Capacity returns the architectural entry capacity of one page-size
+// class, whether or not the class has been filled yet (0 for any other
+// size).
 func (t *TLB) Capacity(pageSize uint64) int {
-	if c := t.classes[pageSize]; c != nil {
-		return c.cap
+	if i := classIndex(pageSize); i >= 0 {
+		return tlbCaps[i]
 	}
 	return 0
 }

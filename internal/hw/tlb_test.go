@@ -43,7 +43,7 @@ func TestTLBLargePages(t *testing.T) {
 
 func TestTLBEvictionRespectsCapacity(t *testing.T) {
 	tlb := NewTLB()
-	capacity := defaultTLBCaps[PageSize4K]
+	capacity := NewTLB().Capacity(PageSize4K)
 	for i := 0; i < capacity*3; i++ {
 		tlb.Insert(uint64(i)*PageSize4K, PageSize4K)
 	}
@@ -64,7 +64,7 @@ func TestTLBEvictionRespectsCapacity(t *testing.T) {
 
 func TestTLBLRUOrder(t *testing.T) {
 	tlb := NewTLB()
-	capacity := defaultTLBCaps[PageSize4K]
+	capacity := NewTLB().Capacity(PageSize4K)
 	for i := 0; i < capacity; i++ {
 		tlb.Insert(uint64(i)*PageSize4K, PageSize4K)
 	}
@@ -151,5 +151,42 @@ func TestTLBInsertLookupProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// NewTLB builds no class until the first fill: a CPU that never misses
+// carries no class storage, while Capacity still reports the architectural
+// sizes and the first insert builds only its own class.
+func TestTLBClassesBuiltOnFirstFill(t *testing.T) {
+	tlb := NewTLB()
+	for i, c := range tlb.std {
+		if c != nil {
+			t.Fatalf("class %d built before any fill", i)
+		}
+	}
+	for _, tc := range []struct {
+		ps  uint64
+		cap int
+	}{{PageSize4K, 64}, {PageSize2M, 32}, {PageSize1G, 4}} {
+		if got := tlb.Capacity(tc.ps); got != tc.cap {
+			t.Errorf("Capacity(%#x) = %d, want %d", tc.ps, got, tc.cap)
+		}
+	}
+	if tlb.Lookup(0x1000) || tlb.Len() != 0 || tlb.Count(PageSize4K) != 0 {
+		t.Fatal("empty TLB reports entries")
+	}
+	tlb.FlushAll()
+	tlb.FlushRange(0, PageSize1G)
+	if s := tlb.Stats(); s.Misses != 1 || s.Flushes != 2 {
+		t.Errorf("stats = %+v, want 1 miss 2 flushes", s)
+	}
+	tlb.Insert(0x1000, PageSize4K)
+	for i, c := range tlb.std {
+		if built := c != nil; built != (tlbSizes[i] == PageSize4K) {
+			t.Errorf("class %#x built = %v after one 4K fill", tlbSizes[i], built)
+		}
+	}
+	if !tlb.Lookup(0x1000) {
+		t.Error("first fill not resident")
 	}
 }

@@ -332,11 +332,12 @@ func (e *Env) XemGet(name string) (uint64, error) {
 // extents. The host transmits the page-frame extent list through the
 // longcall data buffer; Kitten walks the list, adds each extent to its
 // memory map, and charges per-extent mapping work — the operation whose
-// latency Fig. 4 of the paper measures.
+// latency Fig. 4 of the paper measures. This is the guest side of the
+// attach protocol: the host verified the consumer's attach key and mapped
+// the EPT before transmitting the frame list, so the co-kernel only
+// mirrors an already-authorized mapping.
 //
-//covirt:ambient guest side of the attach protocol: the host verified the
-// consumer's attach key and mapped the EPT before transmitting the frame
-// list, so the co-kernel only mirrors an already-authorized mapping.
+//covirt:ambient guest mirror of a host-verified attach (key checked, EPT mapped)
 func (e *Env) XemAttach(segid uint64) ([]hw.Extent, error) {
 	_, count, err := e.Syscall(pisces.SysXemAttach, segid)
 	if err != nil {
@@ -361,11 +362,11 @@ func (e *Env) XemAttach(segid uint64) ([]hw.Extent, error) {
 // ordering: the co-kernel relinquishes its own mappings first, and only
 // then is the detach completed on the host side — where the protection
 // layer unmaps the hardware context and flushes TLBs before the management
-// layer considers the memory released.
+// layer considers the memory released. Dropping the enclave's own mirror
+// of a host-verified mapping withdraws access, it cannot grant any; the
+// authoritative unmap happens host-side at detach-done.
 //
-//covirt:ambient guest side of the detach protocol: dropping the enclave's
-// own mirror of a host-verified mapping withdraws access, it cannot grant
-// any; the authoritative unmap happens host-side at detach-done.
+//covirt:ambient guest mirror drop; the authoritative unmap is host-side at detach-done
 func (e *Env) XemDetach(segid uint64) error {
 	_, count, err := e.Syscall(pisces.SysXemDetach, segid)
 	if err != nil {

@@ -93,6 +93,9 @@ func EncodeBootParams(io MemIO, addr uint64, bp *BootParams) error {
 	if len(bp.Mem) > MaxBootExtents {
 		return fmt.Errorf("pisces: %d extents exceeds boot-param limit %d", len(bp.Mem), MaxBootExtents)
 	}
+	if len(bp.MemCaps) > len(bp.Mem) {
+		return fmt.Errorf("pisces: %d memory caps for %d extents", len(bp.MemCaps), len(bp.Mem))
+	}
 	buf := make([]byte, bootParamsBytes)
 	off := 0
 	w := func(v uint64) { put64(buf, off, v); off += 8 }
@@ -134,7 +137,11 @@ func EncodeBootParams(io MemIO, addr uint64, bp *BootParams) error {
 }
 
 // DecodeBootParams reads a boot-parameter block at addr via io, validating
-// the magic.
+// it. The block lives in enclave memory, so every field is untrusted: the
+// counts are compared as unsigned words (a count of 2^63 or more must not
+// wrap negative and pass the limit checks), and the slots past each count
+// must be zero, so an accepted block is exactly what EncodeBootParams
+// writes for the decoded value.
 func DecodeBootParams(io MemIO, addr uint64) (*BootParams, error) {
 	buf := make([]byte, bootParamsBytes)
 	if err := io.ReadBytes(addr, buf); err != nil {
@@ -146,26 +153,30 @@ func DecodeBootParams(io MemIO, addr uint64) (*BootParams, error) {
 		return nil, fmt.Errorf("pisces: bad boot-param magic %#x at %#x", m, addr)
 	}
 	bp := &BootParams{EnclaveID: r()}
-	n := int(r())
+	n := r()
 	if n > MaxBootCores {
 		return nil, fmt.Errorf("pisces: corrupt core count %d", n)
 	}
-	for i := 0; i < MaxBootCores; i++ {
-		v := int(r())
+	for i := uint64(0); i < MaxBootCores; i++ {
+		v := r()
 		if i < n {
-			bp.Cores = append(bp.Cores, v)
+			bp.Cores = append(bp.Cores, int(v))
+		} else if v != 0 {
+			return nil, fmt.Errorf("pisces: corrupt unused core slot %d", i)
 		}
 	}
-	ne := int(r())
+	ne := r()
 	if ne > MaxBootExtents {
 		return nil, fmt.Errorf("pisces: corrupt extent count %d", ne)
 	}
-	for i := 0; i < MaxBootExtents; i++ {
+	for i := uint64(0); i < MaxBootExtents; i++ {
 		s, sz, nd := r(), r(), r()
 		cid, cgen := r(), r()
 		if i < ne {
 			bp.Mem = append(bp.Mem, hw.Extent{Start: s, Size: sz, Node: int(nd)})
 			bp.MemCaps = append(bp.MemCaps, authority.Ref{ID: cid, Gen: cgen})
+		} else if s|sz|nd|cid|cgen != 0 {
+			return nil, fmt.Errorf("pisces: corrupt unused extent slot %d", i)
 		}
 	}
 	bp.CtlReqRing = r()

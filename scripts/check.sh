@@ -2,7 +2,7 @@
 # check.sh — the repository's CI gate. Run it locally before pushing:
 #
 #   ./scripts/check.sh                # full gate (static + smoke + race)
-#   ./scripts/check.sh static        # build/vet/analyzers + -short smoke + EPT fuzz
+#   ./scripts/check.sh static        # gofmt/build/vet/analyzers + -short smoke + fuzz
 #   ./scripts/check.sh race <group>  # one race shard: harness | workloads | rest
 #
 # It must pass with zero findings; vetted exceptions are annotated in the
@@ -53,6 +53,17 @@ if [ "$mode" = race ]; then
     echo "check.sh: race group $group passed"
     exit 0
 fi
+
+# Formatting first: it is the cheapest gate, and every file must be
+# exactly as gofmt writes it.
+begin "gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+end
 
 begin "go build ./..."
 go build ./...
@@ -110,6 +121,13 @@ end
 # corpus under internal/vmx/testdata also runs in every plain go test.
 begin "go test -fuzz FuzzEPTMapUnmap (10s)"
 go test -run '^$' -fuzz FuzzEPTMapUnmap -fuzztime 10s ./internal/vmx
+end
+
+# A short fuzz of the boot-parameter decoder the host runs on enclave
+# memory: no panic, rejection is an error, and an accepted page re-encodes
+# to the same bytes. Its seed corpus lives under internal/pisces/testdata.
+begin "go test -fuzz FuzzDecodeBootParams (10s)"
+go test -run '^$' -fuzz FuzzDecodeBootParams -fuzztime 10s ./internal/pisces
 end
 
 if [ "$mode" = static ]; then
