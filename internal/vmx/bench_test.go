@@ -66,7 +66,9 @@ func BenchmarkEPTWalkParallel(b *testing.B) {
 
 // BenchmarkEPTMapRange4KOnly measures building a 4K-capped EPT for 64 MiB
 // (16384 leaves) — the set-up cost of the large-page-coalescing ablation,
-// where every guest page is its own leaf.
+// where every guest page is its own leaf. The range covers 32 whole 2M
+// slots, so the build writes 32 L2 slots that link the EPT's shared full
+// 4K table and allocates the root, L3, L2 and shared tables only.
 func BenchmarkEPTMapRange4KOnly(b *testing.B) {
 	const size = 64 << 20
 	b.ReportAllocs()

@@ -85,6 +85,12 @@ type EPT struct {
 	// cache hits intentionally do not count: the cache exists to absorb
 	// walks, and the counter measures the walks that actually happened.
 	walkCount atomic.Uint64
+	// full4K holds, per permission set, the entry linking this EPT's shared
+	// full 4K table: an immutable L1 table whose 512 slots all point at
+	// leafEntry(p). A 4K-capped map links it into every whole 2M slot it
+	// covers; unmaps copy it before clearing any slot (see unmapNode). Built
+	// on first use under mu.
+	full4K [PermAll + 1]*eptEntry
 }
 
 // NewEPT returns an empty nested page table (nothing mapped: every access
@@ -128,6 +134,22 @@ var leafEntries = func() (t [PermAll + 1]eptEntry) {
 // leafEntry returns the shared leaf entry for perms (which must lie within
 // PermAll).
 func leafEntry(p Perms) *eptEntry { return &leafEntries[p] }
+
+// newFullTable returns a fresh table whose 512 slots all hold leafEntry(p).
+func newFullTable(p Perms) *eptNode {
+	n := &eptNode{}
+	shared := leafEntry(p)
+	for i := range n.entries {
+		n.entries[i].Store(shared)
+	}
+	return n
+}
+
+// isFull4K reports whether ent links a shared full 4K table, which must
+// never be written. Caller holds e.mu.
+func (e *EPT) isFull4K(ent *eptEntry) bool {
+	return !ent.leaf && e.full4K[ent.perms] == ent
+}
 
 // checkRange validates a map/unmap range: 4K-aligned, and not wrapping past
 // the top of the address space.
@@ -191,7 +213,10 @@ func bestPageSize(cur, remaining uint64) uint64 {
 // table the size only drops once less than a page remains. It returns
 // where the run stopped. Table nodes are created empty and linked before
 // their slots fill, so walkers only ever see absent or complete leaves.
-// Caller holds e.mu.
+// A 4K run that reaches an empty, 2M-aligned L2 slot with at least 2M left
+// (only a 4K cap keeps such a run at 4K) links the shared full 4K table
+// instead, via linkFull4K. A run that reaches a shared table fails on its
+// first slot, so the shared table is never written. Caller holds e.mu.
 func (e *EPT) mapRun(cur, end uint64, perms Perms) (uint64, error) {
 	pageSize := bestPageSize(cur, end-cur)
 	if e.maxPage > 0 && pageSize > e.maxPage {
@@ -212,6 +237,9 @@ func (e *EPT) mapRun(cur, end uint64, perms Perms) (uint64, error) {
 			return cur, fmt.Errorf("vmx: map %#x/%d overlaps existing %d-byte leaf", cur, pageSize, levelPageSize(level))
 		}
 		if ent == nil {
+			if level == 1 && pageSize == hw.PageSize4K && cur%hw.PageSize2M == 0 && end-cur >= hw.PageSize2M {
+				return e.linkFull4K(n, cur, end, perms), nil
+			}
 			ent = &eptEntry{next: &eptNode{}}
 			slot.Store(ent)
 		}
@@ -229,6 +257,31 @@ func (e *EPT) mapRun(cur, end uint64, perms Perms) (uint64, error) {
 	}
 	e.accountMap(pageSize, run)
 	return cur + run*pageSize, nil
+}
+
+// linkFull4K fills consecutive empty slots of the L2 table n, starting at
+// cur's slot (which is empty), with the shared full 4K table entry until
+// less than 2M remains, the table ends or a slot is taken. It returns where
+// it stopped; mapRun maps the rest. Each slot counts as 512 4K leaves.
+// The shared entry is built on first use and carries perms, so isFull4K
+// can find it. Caller holds e.mu.
+func (e *EPT) linkFull4K(n *eptNode, cur, end uint64, perms Perms) uint64 {
+	shared := e.full4K[perms]
+	if shared == nil {
+		shared = &eptEntry{next: newFullTable(perms), perms: perms}
+		e.full4K[perms] = shared
+	}
+	slots := n.entries[idx(cur, 1):]
+	run := min(uint64(len(slots)), (end-cur)/hw.PageSize2M)
+	for i := range run {
+		if slots[i].Load() != nil {
+			run = i
+			break
+		}
+		slots[i].Store(shared)
+	}
+	e.accountMap(hw.PageSize4K, run<<eptIdxBits)
+	return cur + run*hw.PageSize2M
 }
 
 // UnmapRange removes all mappings overlapping [gpa, gpa+size), splitting
@@ -251,7 +304,9 @@ func (e *EPT) UnmapRange(gpa, size uint64) error {
 }
 
 // unmapNode walks node n (covering [base, base+span) at level) removing
-// leaves overlapping [lo, hi). Caller holds e.mu.
+// leaves overlapping [lo, hi). A shared full 4K table is dropped whole when
+// covered, and otherwise replaced by a private copy before any slot is
+// cleared. Caller holds e.mu.
 func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 	span := levelPageSize(level)
 	for i := 0; i < 1<<eptIdxBits; i++ {
@@ -259,21 +314,26 @@ func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 		if entBase >= hi || entBase+span <= lo {
 			continue
 		}
+		covered := entBase >= lo && entBase+span <= hi
 		slot := &n.entries[i]
 		ent := slot.Load()
 		switch {
 		case ent == nil:
+		case ent.leaf && covered:
+			e.accountUnmap(span, 1)
+			slot.Store(nil)
 		case ent.leaf:
-			if entBase >= lo && entBase+span <= hi {
-				// Fully covered: drop the leaf.
-				e.accountUnmap(span)
-				slot.Store(nil)
-			} else {
-				// Partially covered large leaf: split one level down and
-				// recurse. 4K leaves are always fully covered (alignment).
-				child := e.splitLeaf(slot, ent, level)
-				e.unmapNode(child, level-1, entBase, lo, hi)
-			}
+			// Partially covered large leaf: split one level down and
+			// recurse. 4K leaves are always fully covered (alignment).
+			e.accountUnmap(span, 1)
+			e.accountMap(levelPageSize(level-1), 1<<eptIdxBits)
+			e.unmapNode(e.splitLeaf(slot, ent.perms), level-1, entBase, lo, hi)
+		case e.isFull4K(ent) && covered:
+			e.accountUnmap(hw.PageSize4K, 1<<eptIdxBits)
+			slot.Store(nil)
+		case e.isFull4K(ent):
+			// Copy on write: the same 512 leaves, now in a private table.
+			e.unmapNode(e.splitLeaf(slot, ent.perms), level-1, entBase, lo, hi)
 		default:
 			e.unmapNode(ent.next, level-1, entBase, lo, hi)
 			if nodeEmpty(ent.next) {
@@ -283,20 +343,13 @@ func (e *EPT) unmapNode(n *eptNode, level int, base, lo, hi uint64) {
 	}
 }
 
-// splitLeaf replaces a large leaf with a table of next-size-down leaves,
-// preserving permissions. The child is fully built — all 512 slots point
-// at the shared leaf entry for those permissions — before being published,
-// so concurrent walkers see either the old large leaf or the complete
-// split, never a partial table. Caller holds e.mu.
-func (e *EPT) splitLeaf(slot *atomic.Pointer[eptEntry], old *eptEntry, level int) *eptNode {
-	child := &eptNode{}
-	shared := leafEntry(old.perms)
-	for i := range child.entries {
-		child.entries[i].Store(shared)
-	}
-	// Accounting: one large page becomes 512 smaller ones.
-	e.accountUnmap(levelPageSize(level))
-	e.accountMap(levelPageSize(level-1), 1<<eptIdxBits)
+// splitLeaf publishes in slot a fresh table of 512 next-size-down leaves
+// with perms p, replacing a large leaf or a shared full 4K table, and
+// returns it. The table is fully built before it is published, so
+// concurrent walkers see either the old entry or the complete copy, never
+// a partial table. The caller does the accounting. Caller holds e.mu.
+func (e *EPT) splitLeaf(slot *atomic.Pointer[eptEntry], p Perms) *eptNode {
+	child := newFullTable(p)
 	slot.Store(&eptEntry{next: child})
 	return child
 }
@@ -314,16 +367,18 @@ func (e *EPT) accountMap(span, n uint64) {
 	e.stats.Bytes += n * span
 }
 
-func (e *EPT) accountUnmap(span uint64) {
+// accountUnmap records n dropped leaves of the given span. Caller holds
+// e.mu.
+func (e *EPT) accountUnmap(span, n uint64) {
 	switch span {
 	case hw.PageSize1G:
-		e.stats.Mapped1G--
+		e.stats.Mapped1G -= n
 	case hw.PageSize2M:
-		e.stats.Mapped2M--
+		e.stats.Mapped2M -= n
 	default:
-		e.stats.Mapped4K--
+		e.stats.Mapped4K -= n
 	}
-	e.stats.Bytes -= span
+	e.stats.Bytes -= n * span
 }
 
 // nodeEmpty reports whether a node has no live entries.
@@ -351,6 +406,11 @@ type WalkResult struct {
 // controller mutation.
 func (e *EPT) Walk(gpa uint64, write bool) (WalkResult, error) {
 	e.walkCount.Add(1)
+	return e.walk(gpa, write)
+}
+
+// walk is Walk without the walk counter.
+func (e *EPT) walk(gpa uint64, write bool) (WalkResult, error) {
 	n := e.root
 	levels := 0
 	for level := eptMaxLevel; level >= 0; level-- {
@@ -378,7 +438,7 @@ func (e *EPT) Walk(gpa uint64, write bool) (WalkResult, error) {
 // Mapped reports whether gpa is currently readable, without touching
 // counters (controller-side queries).
 func (e *EPT) Mapped(gpa uint64) bool {
-	_, err := e.Walk(gpa, false)
+	_, err := e.walk(gpa, false)
 	return err == nil
 }
 

@@ -196,8 +196,9 @@ func fuzzOp(rec []byte) (unmap bool, perms Perms, gpa, size uint64) {
 // FuzzEPTMapUnmap runs random Map/Unmap sequences — including partial
 // unmaps that split 1G and 2M leaves, and 4K- or 2M-capped EPTs — against
 // the per-page model, checking walks, Mapped, Stats, Gen, that the shared
-// leaf entries never change, and that a translation cache fed by the walks
-// never hits with a translation the current EPT no longer has.
+// leaf entries and the shared full 4K tables never change, and that a
+// translation cache fed by the walks never hits with a translation the
+// current EPT no longer has.
 //
 // The first byte picks the page-size cap (none, 4K, 2M); the rest is a
 // sequence of fuzzOp records.
@@ -243,6 +244,7 @@ func FuzzEPTMapUnmap(f *testing.F) {
 					t.Fatalf("shared leaf entry %d changed: %+v", p, *ent)
 				}
 			}
+			checkSharedFull4K(t, e)
 			probes = append(probes, gpa-hw.PageSize4K, gpa, gpa+size-hw.PageSize4K, gpa+size)
 			for _, a := range probes {
 				checkPage(t, e, m, a)

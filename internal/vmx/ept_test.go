@@ -1,6 +1,9 @@
 package vmx
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -359,12 +362,17 @@ func TestEPTOverlapStopsMidRun(t *testing.T) {
 	}
 }
 
-// tableCount counts the table nodes below n, n included.
-func tableCount(n *eptNode) int {
+// tableCount counts the distinct table nodes below n, n included: a
+// shared full 4K table counts once, however many slots link it.
+func tableCount(n *eptNode, seen map[*eptNode]bool) int {
+	if seen[n] {
+		return 0
+	}
+	seen[n] = true
 	c := 1
 	for i := range n.entries {
 		if ent := n.entries[i].Load(); ent != nil && !ent.leaf {
-			c += tableCount(ent.next)
+			c += tableCount(ent.next, seen)
 		}
 	}
 	return c
@@ -381,7 +389,7 @@ func TestEPTMapRangeAllocsPerTable(t *testing.T) {
 	if err := e.MapRange(base, size, PermAll); err != nil {
 		t.Fatal(err)
 	}
-	created := tableCount(e.root) - 1 // the root exists before the map
+	created := tableCount(e.root, map[*eptNode]bool{}) - 1 // the root exists before the map
 	if leaves := e.Stats().Mapped4K; leaves != size/hw.PageSize4K {
 		t.Fatalf("4K leaves = %d, want %d", leaves, size/hw.PageSize4K)
 	}
@@ -398,5 +406,130 @@ func TestEPTMapRangeAllocsPerTable(t *testing.T) {
 	})
 	if limit := float64(2 * created); allocs > limit {
 		t.Errorf("map of %d 4K leaves in %d tables: %.0f allocs, want <= %.0f", size/hw.PageSize4K, created, allocs, limit)
+	}
+}
+
+// Mapped is a controller-side query: it must not count as a walk.
+func TestEPTMappedDoesNotCountWalks(t *testing.T) {
+	e := NewEPT()
+	if err := e.MapRange(0x1000, 0x1000, PermAll); err != nil {
+		t.Fatal(err)
+	}
+	before := e.WalkCount()
+	if !e.Mapped(0x1000) || e.Mapped(0x2000) {
+		t.Fatal("Mapped disagrees with the map")
+	}
+	if got := e.WalkCount(); got != before {
+		t.Errorf("WalkCount = %d after two Mapped calls, want %d", got, before)
+	}
+}
+
+// checkSharedFull4K requires every shared full 4K table of e to still hold
+// leafEntry(p) in all 512 slots.
+func checkSharedFull4K(t *testing.T, e *EPT) {
+	t.Helper()
+	for p, ent := range e.full4K {
+		if ent == nil {
+			continue
+		}
+		if ent.leaf || ent.perms != Perms(p) || ent.next == nil {
+			t.Fatalf("shared full 4K entry %d changed: %+v", p, *ent)
+		}
+		for i := range ent.next.entries {
+			if got := ent.next.entries[i].Load(); got != leafEntry(Perms(p)) {
+				t.Fatalf("shared full 4K table %d slot %d = %p, want the shared leaf", p, i, got)
+			}
+		}
+	}
+}
+
+// Walkers racing copy-on-write unmaps never see a partial table: pages
+// outside the unmapped holes never fault, and the holes end unmapped.
+func TestEPTSharedFull4KCopyOnWriteRace(t *testing.T) {
+	const (
+		slots   = 32
+		walkers = 2
+		hole    = 4 * hw.PageSize4K
+		holeOff = hw.PageSize2M / 2 // walkers stay below the holes
+	)
+	e := NewEPT()
+	e.SetMaxPageSize(hw.PageSize4K)
+	base := uint64(hw.PageSize1G)
+	if err := e.MapRange(base, slots*hw.PageSize2M, PermAll); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var started, wg sync.WaitGroup
+	errs := make(chan error, walkers)
+	for w := range walkers {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			for i := uint64(w); !stop.Load(); i++ {
+				gpa := base + i%slots*hw.PageSize2M + i*7*hw.PageSize4K%holeOff
+				if _, err := e.Walk(gpa, i%2 == 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for s := range uint64(slots) {
+		if err := e.UnmapRange(base+s*hw.PageSize2M+holeOff, hole); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("walk outside the holes faulted: %v", err)
+	}
+	for s := range uint64(slots) {
+		for a := base + s*hw.PageSize2M + holeOff; a < base+s*hw.PageSize2M+holeOff+hole; a += hw.PageSize4K {
+			if e.Mapped(a) {
+				t.Fatalf("%#x still mapped after its unmap", a)
+			}
+		}
+	}
+	if got, want := e.Stats().Mapped4K, uint64(slots<<eptIdxBits-slots*hole/hw.PageSize4K); got != want {
+		t.Errorf("4K leaves = %d, want %d", got, want)
+	}
+	checkSharedFull4K(t, e)
+}
+
+// A 4K-capped 1 GiB build links the shared full 4K table into 512 L2
+// slots: NewEPT included it allocates four tables (root, L3, L2 and the
+// shared one), their entries and the EPT, 19,648 B in 8 objects on
+// go1.24/amd64 (a 4 KiB table of pointers carries a malloc header and
+// lands in the 4,864 B size class). Before the shared table it filled one
+// fresh table per 2M: 2,513,264 B in 1,031 objects.
+func TestMapRange4KOnlyAllocation(t *testing.T) {
+	const (
+		budgetBytes  = 24 << 10
+		budgetAllocs = 8
+		runs         = 4
+	)
+	build := func() {
+		e := NewEPT()
+		e.SetMaxPageSize(hw.PageSize4K)
+		if err := e.MapRange(hw.PageSize1G, hw.PageSize1G, PermAll); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, build); allocs > budgetAllocs {
+		t.Errorf("4K-only 1 GiB build: %.0f allocs, want <= %d", allocs, budgetAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budgetBytes {
+		t.Errorf("4K-only 1 GiB build allocates %d B, want <= %d", per, budgetBytes)
 	}
 }

@@ -130,6 +130,13 @@ begin "go test -fuzz FuzzDecodeBootParams (10s)"
 go test -run '^$' -fuzz FuzzDecodeBootParams -fuzztime 10s ./internal/pisces
 end
 
+# A short fuzz of capability memory-scope containment against a 128-bit
+# reference: no range ending past its scope is accepted, Wild scopes
+# behave, and narrowing an accepted range keeps it accepted.
+begin "go test -fuzz FuzzScopeContains (10s)"
+go test -run '^$' -fuzz FuzzScopeContains -fuzztime 10s ./internal/authority
+end
+
 if [ "$mode" = static ]; then
     echo "check.sh: static gates passed"
     exit 0
